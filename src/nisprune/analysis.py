@@ -14,7 +14,7 @@ import numpy as np
 
 from . import engine
 from .errors import ConfigError, DataError, ShapeError
-from .model import Network, layer_params, output_shapes, shape_size, slice_layers
+from .model import Network, layer_params, output_shapes, shape_size
 from .propagation import bp_matrix
 
 _EPS = 1e-12
@@ -106,7 +106,8 @@ def verify_bound(net: Network, inputs, s_n, keep_mask, layer_id: int) -> BoundRe
     if np.any(s_n < 0):
         raise ShapeError("importance scores must be non-negative")
 
-    resp = engine.batch_responses(net, inputs, layer_id)
+    trace = engine.batch_forward(net, inputs, 0, net.frl_index)
+    resp = engine.flatten_responses(trace[layer_id + 1])
 
     # r = |W_{l+1}|^T ... |W_n|^T s_n, with batch-norm contributing |scale|
     # and activations only their Lipschitz factor.
@@ -127,14 +128,13 @@ def verify_bound(net: Network, inputs, s_n, keep_mask, layer_id: int) -> BoundRe
             c_sigma *= engine.activation_lipschitz(layer.activation)
         r = r @ bp_matrix(layer)
 
-    tail = slice_layers(net, layer_id + 1, net.frl_index)
+    # The tail runs once more over every sample with the layer masked; the
+    # unmasked tail output is the FRL of the trace above.
+    masked_in = trace[layer_id + 1] * keep_mask.reshape(shapes[layer_id])
+    masked = engine.batch_forward(net, masked_in, layer_id + 1, net.frl_index)[-1]
     lhs = 0.0
-    for row in resp:
-        full = engine.flatten_response(engine.forward_sub(tail, engine.unflatten_response(row, shapes[layer_id])))
-        masked = engine.flatten_response(
-            engine.forward_sub(tail, engine.unflatten_response(row * keep_mask, shapes[layer_id]))
-        )
-        lhs += float(s_n @ np.abs(full - masked))
+    for diff in engine.flatten_responses(np.abs(trace[-1] - masked)):
+        lhs += float(s_n @ diff)
 
     c_x = float(np.abs(resp).sum(axis=0).max())
     rhs = c_sigma * c_x * float(r @ (1.0 - keep_mask))

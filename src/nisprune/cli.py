@@ -190,8 +190,9 @@ def cmd_rank(cfg: ExperimentConfig) -> None:
     for i in np.argsort(-scores, kind="stable"):
         lines.append("%d,%s" % (i, repr(float(scores[i]))))
     if cfg.pca_threshold is not None:
+        trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
         for layer_id in range(net.frl_index + 1):
-            resp = engine.batch_responses(net, data.inputs, layer_id)
+            resp = engine.flatten_responses(trace[layer_id + 1])
             energy = analysis.pca_energy(resp, cfg.pca_threshold)
             note = " (degenerate)" if energy.degenerate else ""
             print("layer %d: %d of %d components reach %g energy%s"

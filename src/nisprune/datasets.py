@@ -75,8 +75,6 @@ def load_dataset(csv_path: str) -> Dataset:
         raise DataError("%s has no data rows" % csv_path)
 
     values = np.empty((len(rows), d))
-    labels = np.empty(len(rows), dtype=int) if has_label else None
-    labeled = has_label
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError("%s row %d has %d fields, expected %d" % (csv_path, i + 2, len(row), len(header)))
@@ -84,14 +82,19 @@ def load_dataset(csv_path: str) -> Dataset:
             values[i] = [float(v) for v in row[:d]]
         except ValueError as e:
             raise DataError("%s row %d: %s" % (csv_path, i + 2, e)) from e
-        if has_label:
-            if row[d] == "":
-                labeled = False
-            else:
-                try:
-                    labels[i] = int(row[d])
-                except ValueError as e:
-                    raise DataError("%s row %d: %s" % (csv_path, i + 2, e)) from e
+
+    # An all-empty label column is how unlabeled data is saved; a column
+    # that is empty on only some rows is an error, not unlabeled data.
+    texts = [row[d] for row in rows] if has_label else []
+    labels = None
+    if any(texts):
+        labels = np.empty(len(rows), dtype=int)
+        for i, text in enumerate(texts):
+            try:
+                labels[i] = int(text)
+            except (ValueError, OverflowError) as e:
+                raise DataError("%s row %d: label %r is not an integer; label every row or none"
+                                % (csv_path, i + 2, text)) from e
     if not np.isfinite(values).all():
         raise DataError("%s contains non-finite values" % csv_path)
 
@@ -109,4 +112,4 @@ def load_dataset(csv_path: str) -> Dataset:
     if shape is not None and len(shape) == 3:
         values = values.reshape((len(rows),) + shape)
 
-    return Dataset(inputs=values, labels=labels if labeled else None)
+    return Dataset(inputs=values, labels=labels)

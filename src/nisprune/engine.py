@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .model import Layer, Network, SubNetwork
+from .model import Layer, Network
 
 # Local response normalization runs with fixed constants; importance
 # propagation never looks at them.
@@ -54,144 +54,172 @@ def unflatten_response(vec: np.ndarray, shape) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    # Strict first-to-last accumulation. Zero contributions then leave every
-    # partial sum untouched, so a pruned network and the original network
-    # with masked activations produce bit-identical responses.
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+# Samples per call of the dense and conv summing loops: enough to amortise the
+# Python loop over terms, few enough that a block's accumulator stays in cache.
+SAMPLE_BLOCK = 64
+
+
+def _ordered_sum(pairs) -> np.ndarray:
+    # Sum of the products a * b over (a, b) pairs, strictly first to last.
+    # Zero contributions then leave every partial sum untouched, so a pruned
+    # network and the original network with masked activations produce
+    # bit-identical responses. Starting from zero instead of the first
+    # product would turn a -0.0 first term into 0.0.
+    pairs = iter(pairs)
+    acc = np.multiply(*next(pairs))
+    term = np.empty_like(acc)
+    for a, b in pairs:
+        acc += np.multiply(a, b, out=term)
+    return acc
+
+
+def _by_blocks(kernel, x: np.ndarray) -> np.ndarray:
+    return np.concatenate([kernel(x[lo : lo + SAMPLE_BLOCK]) for lo in range(0, len(x), SAMPLE_BLOCK)])
 
 
 def _dense_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
-    v = x.ravel()
+    v = x.reshape(len(x), -1)
     w = layer.weights
-    if v.shape[0] != w.shape[1]:
-        raise ShapeError("dense layer expects %d inputs, got %d" % (w.shape[1], v.shape[0]))
-    z = _ordered_sum(w * v[None, :], axis=1) + layer.bias
-    return apply_activation(layer.activation, z)
+    if v.shape[1] != w.shape[1]:
+        raise ShapeError("dense layer expects %d inputs, got %d" % (w.shape[1], v.shape[1]))
+    # Loop over the input index, vectorised over (samples x outputs).
+    w_rows = np.ascontiguousarray(w.T)
+
+    def block(vb):
+        cols = np.ascontiguousarray(vb.T)
+        return _ordered_sum((cols[j][:, None], w_rows[j]) for j in range(len(w_rows)))
+
+    return apply_activation(layer.activation, _by_blocks(block, v) + layer.bias)
+
+
+def _check_spatial(layer: Layer, x: np.ndarray, what: str) -> None:
+    g = layer.geometry
+    if x.shape[1:] != (g.c_in, g.x, g.x):
+        raise ShapeError("%s layer expects %r, got %r" % (what, (g.c_in, g.x, g.x), x.shape[1:]))
 
 
 def _conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    _check_spatial(layer, x, "conv")
     g = layer.geometry
-    if x.shape != (g.c_in, g.x, g.x):
-        raise ShapeError("conv layer expects %r, got %r" % ((g.c_in, g.x, g.x), x.shape))
-    xp = np.pad(x, ((0, 0), (g.p, g.p), (g.p, g.p)))
-    kernel = layer.weights  # (k, k, c_in, c_out)
-    # One (c_in * k * k, c_out) contribution table per window, reduced in a
-    # fixed channel-major order; see _ordered_sum for why.
-    kern_cm = np.ascontiguousarray(kernel.transpose(2, 0, 1, 3)).reshape(-1, g.c_out)
-    out = np.empty((g.c_out, g.y, g.y))
-    for i in range(g.y):
-        for j in range(g.y):
-            win = xp[:, i * g.s : i * g.s + g.k, j * g.s : j * g.s + g.k]
-            terms = win.reshape(-1, 1) * kern_cm
-            out[:, i, j] = _ordered_sum(terms, axis=0) + layer.bias
+    span = g.s * (g.y - 1) + 1
+    # Terms in the channel-major (c_in, k, k) order of kern_cm, each
+    # vectorised over (samples x c_out x y x y); see _ordered_sum.
+    kern_cm = np.ascontiguousarray(layer.weights.transpose(2, 0, 1, 3)).reshape(-1, g.c_out, 1, 1)
+
+    def block(xb):
+        xp = np.pad(xb, ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
+        return _ordered_sum(
+            (xp[:, c, None, di : di + span : g.s, dj : dj + span : g.s], kern)
+            for (c, di, dj), kern in zip(np.ndindex(g.c_in, g.k, g.k), kern_cm)
+        )
+
+    out = _by_blocks(block, x) + layer.bias[:, None, None]
     return apply_activation(layer.activation, out)
 
 
 def _pool_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    _check_spatial(layer, x, "pool")
     g = layer.geometry
-    if x.shape != (g.c_in, g.x, g.x):
-        raise ShapeError("pool layer expects %r, got %r" % ((g.c_in, g.x, g.x), x.shape))
-    xp = np.pad(x, ((0, 0), (g.p, g.p), (g.p, g.p)))
-    out = np.empty((g.c_out, g.y, g.y))
+    xp = np.pad(x, ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
+    reduce = np.max if layer.pool_mode == "max" else np.mean
+    out = np.empty((len(x), g.c_out, g.y, g.y))
     for i in range(g.y):
         for j in range(g.y):
-            win = xp[:, i * g.s : i * g.s + g.k, j * g.s : j * g.s + g.k]
-            if layer.pool_mode == "max":
-                out[:, i, j] = win.max(axis=(1, 2))
-            else:
-                out[:, i, j] = win.mean(axis=(1, 2))
+            out[:, :, i, j] = reduce(xp[:, :, i * g.s : i * g.s + g.k, j * g.s : j * g.s + g.k], axis=(2, 3))
     return out
 
 
 def _lrn_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    _check_spatial(layer, x, "LRN")
     g = layer.geometry
-    if x.shape != (g.c_in, g.x, g.x):
-        raise ShapeError("LRN layer expects %r, got %r" % ((g.c_in, g.x, g.x), x.shape))
     half = (layer.lrn_local_size - 1) // 2
     sq = x * x
     out = np.empty_like(x)
     for c in range(g.c_in):
         lo, hi = max(0, c - half), min(g.c_in, c + half + 1)
-        denom = (LRN_BIAS + LRN_ALPHA * sq[lo:hi].sum(axis=0)) ** LRN_BETA
-        out[c] = x[c] / denom
+        out[:, c] = x[:, c] / (LRN_BIAS + LRN_ALPHA * sq[:, lo:hi].sum(axis=1)) ** LRN_BETA
     return out
 
 
 def _batchnorm_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     scale, shift = layer.weights, layer.bias
-    if x.ndim == 1:
-        if x.shape[0] != scale.shape[0]:
-            raise ShapeError("batch-norm over %d entries got %d" % (scale.shape[0], x.shape[0]))
+    if x.ndim == 2:
+        if x.shape[1] != scale.shape[0]:
+            raise ShapeError("batch-norm over %d entries got %d" % (scale.shape[0], x.shape[1]))
         return scale * x + shift
-    if x.ndim == 3 and x.shape[0] == scale.shape[0]:
+    if x.ndim == 4 and x.shape[1] == scale.shape[0]:
         return scale[:, None, None] * x + shift[:, None, None]
-    raise ShapeError("batch-norm over %d entries cannot consume %r" % (scale.shape[0], x.shape))
+    raise ShapeError("batch-norm over %d entries cannot consume %r" % (scale.shape[0], x.shape[1:]))
 
 
-def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
-    if layer.kind == "Dense":
-        return _dense_forward(layer, x)
-    if layer.kind == "Conv2D":
-        return _conv_forward(layer, x)
-    if layer.kind == "Pool2D":
-        return _pool_forward(layer, x)
-    if layer.kind == "LRN":
-        return _lrn_forward(layer, x)
-    if layer.kind == "BatchNorm":
-        return _batchnorm_forward(layer, x)
-    if layer.kind == "Activation":
-        return apply_activation(layer.activation, x)
-    raise ShapeError("unknown layer kind %r" % (layer.kind,))
+_KERNELS = {
+    "Dense": _dense_forward,
+    "Conv2D": _conv_forward,
+    "Pool2D": _pool_forward,
+    "LRN": _lrn_forward,
+    "BatchNorm": _batchnorm_forward,
+    "Activation": lambda layer, x: apply_activation(layer.activation, x),
+}
 
 
-def forward(net: Network, x) -> list:
-    """Full activation trace: [input, response_0, ..., response_last].
+def _layer_batch(layer: Layer, x: np.ndarray) -> np.ndarray:
+    if layer.kind not in _KERNELS:
+        raise ShapeError("unknown layer kind %r" % (layer.kind,))
+    return _KERNELS[layer.kind](layer, x)
 
-    A skip edge (src, dst) adds the stored response of layer src to the
-    output of layer dst after dst's own activation.
+
+def batch_forward(net: Network, inputs, start: int = 0, end: int = None) -> list:
+    """Trace [inputs, response_start, ..., response_end] over a batch.
+
+    ``inputs`` stacks one input to layer ``start`` per sample on a leading
+    axis, which every response keeps. A skip edge (src, dst) adds the stored
+    response of layer src to the output of layer dst after dst's own
+    activation; an edge that merges inside the range but starts before it is
+    rejected. A sample's responses are bit-identical in any batch.
     """
-    trace = [np.asarray(x, dtype=float)]
+    n = len(net.layers)
+    end = n - 1 if end is None else end
+    if not 0 <= start <= end <= n - 1:
+        raise ConfigError("layer range [%d, %d] outside 0..%d" % (start, end, n - 1))
     merges = {}
     for src, dst in net.skip_edges:
-        merges.setdefault(dst, []).append(src)
-    for i, layer in enumerate(net.layers):
-        value = layer_forward(layer, trace[-1])
+        if start <= dst <= end:
+            if src < start:
+                raise ConfigError("skip edge (%d, %d) crosses the start of layers %d..%d" % (src, dst, start, end))
+            merges.setdefault(dst, []).append(src)
+    trace = [np.asarray(inputs, dtype=float)]
+    if len(trace[0]) == 0:
+        raise DataError("no samples to evaluate")
+    for i in range(start, end + 1):
+        value = _layer_batch(net.layers[i], trace[-1])
         for src in merges.get(i, ()):
-            stored = trace[src + 1]
+            stored = trace[src - start + 1]
             if stored.shape != value.shape:
-                raise ShapeError(
-                    "skip edge (%d, %d) joins shapes %r and %r"
-                    % (src, i, stored.shape, value.shape)
-                )
+                raise ShapeError("skip edge (%d, %d) joins shapes %r and %r"
+                                 % (src, i, stored.shape[1:], value.shape[1:]))
             value = value + stored
         trace.append(value)
     return trace
 
 
-def forward_sub(sub: SubNetwork, x) -> np.ndarray:
-    """Output of the layer window on a raw input value."""
-    local = [np.asarray(x, dtype=float)]
-    merges = {}
-    for src, dst in sub.parent.skip_edges:
-        if sub.start <= src and dst <= sub.end:
-            merges.setdefault(dst, []).append(src)
-    for i in range(sub.start, sub.end + 1):
-        value = layer_forward(sub.parent.layers[i], local[-1])
-        for src in merges.get(i, ()):
-            value = value + local[src - sub.start + 1]
-        local.append(value)
-    return local[-1]
+def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """One layer on one sample."""
+    return _layer_batch(layer, np.asarray(x, dtype=float)[None])[0]
+
+
+def forward(net: Network, x) -> list:
+    """Full activation trace of one sample: [input, response_0, ..., response_last]."""
+    return [value[0] for value in batch_forward(net, np.asarray(x, dtype=float)[None])]
+
+
+def flatten_responses(batch: np.ndarray) -> np.ndarray:
+    """One flattened response per row; see flatten_response."""
+    return batch.reshape(len(batch), -1)
 
 
 def batch_responses(net: Network, inputs, layer_id: int) -> np.ndarray:
     """Rows of flattened responses of one layer, one row per sample."""
-    if not 0 <= layer_id < len(net.layers):
-        raise ConfigError("layer id %d outside 0..%d" % (layer_id, len(net.layers) - 1))
-    rows = [flatten_response(forward(net, x)[layer_id + 1]) for x in inputs]
-    if not rows:
-        raise DataError("no samples to evaluate")
-    return np.stack(rows)
+    return flatten_responses(batch_forward(net, inputs, 0, layer_id)[-1])
 
 
 def predict(net: Network, inputs) -> np.ndarray:

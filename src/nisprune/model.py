@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError, ShapeError
+from .errors import ModelFormatError, ShapeError
 
 KINDS = ("Dense", "Conv2D", "Pool2D", "LRN", "BatchNorm", "Activation")
 ACTIVATION_KINDS = ("Identity", "ReLU", "Sigmoid", "Tanh")
@@ -73,15 +73,6 @@ class Network:
     layers: tuple[Layer, ...]
     frl_index: int
     skip_edges: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
-class SubNetwork:
-    """A contiguous view ``layers[start..end]`` of a parent network."""
-
-    parent: Network
-    start: int
-    end: int
 
 
 @dataclass
@@ -293,21 +284,6 @@ def validate(net: Network) -> ValidationReport:
             )
 
     return ValidationReport(len(violations) == 0, violations)
-
-
-def slice_layers(net: Network, start: int, end: int) -> SubNetwork:
-    """View of layers start..end inclusive, for propagation windows.
-
-    Skip edges that merge inside the window but start before it cannot be
-    evaluated from the window alone, so they are rejected.
-    """
-    n = len(net.layers)
-    if not (0 <= start <= end <= n - 1):
-        raise ConfigError("slice [%d, %d] outside 0..%d" % (start, end, n - 1))
-    for src, dst in net.skip_edges:
-        if start <= dst <= end and src < start:
-            raise ConfigError("skip edge (%d, %d) crosses the slice boundary" % (src, dst))
-    return SubNetwork(net, start, end)
 
 
 def layer_params(layer: Layer) -> int:

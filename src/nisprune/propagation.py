@@ -474,9 +474,12 @@ def plan_from_json(data) -> ImportancePlan:
             raise ModelFormatError("plan entry has a bad or duplicate layer id %r" % (layer_id,))
         try:
             scores = np.asarray(item["scores"], dtype=float)
-            mask = np.asarray(item["mask"], dtype=np.uint8)
+            mask = item["mask"]
         except (KeyError, TypeError, ValueError) as e:
             raise ModelFormatError("plan entry %d is malformed: %s" % (layer_id, e)) from e
+        if not isinstance(mask, list) or not all(v in (0, 1) for v in mask):
+            raise ModelFormatError("plan entry %d mask must be a list of 0 and 1" % layer_id)
+        mask = np.asarray(mask, dtype=np.uint8)
         ch = item.get("channel_scores")
         channel = np.asarray(ch, dtype=float) if ch is not None else None
         if scores.ndim != 1 or mask.shape != scores.shape:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import Network
+from .model import Network, prunable_layer_ids
 from . import engine
 
 from dataclasses import dataclass
@@ -133,10 +133,8 @@ def per_layer_scores(net: Network, inputs, alpha: float = 0.5) -> dict:
     This deliberately ignores how a layer feeds later ones; it exists as the
     layer-by-layer baseline against backward propagation.
     """
-    from .model import prunable_layer_ids
-
-    scores = {}
-    for layer_id in prunable_layer_ids(net):
-        resp = engine.batch_responses(net, inputs, layer_id)
-        scores[layer_id] = inffs_scores(build_affinity(resp, alpha))
-    return scores
+    trace = engine.batch_forward(net, inputs, 0, net.frl_index)
+    return {
+        layer_id: inffs_scores(build_affinity(engine.flatten_responses(trace[layer_id + 1]), alpha))
+        for layer_id in prunable_layer_ids(net)
+    }

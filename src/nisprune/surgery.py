@@ -9,7 +9,11 @@ so their shapes just follow whatever survives below them.
 Removed units contribute nothing to the survivors (their outgoing columns go
 with them, and biases of downstream neurons stay), so the pruned network
 computes exactly what the original computes with the masked activations
-forced to zero.
+forced to zero. LRN is the exception: it normalises each channel over its
+neighbouring channels, and after surgery those are the nearest kept ones.
+When the kept channels below an LRN layer are not contiguous, the pruned
+network computes the original with the dropped channels removed before the
+LRN, which is not the same as zeroing them.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ def apply_plan(net: Network, plan: ImportancePlan):
 
     Returns (pruned_net, report). The pruned net validates, keeps the same
     layer count and skip edges, and agrees with masked evaluation of the
-    original bit for bit.
+    original bit for bit, except past an LRN layer whose kept channels are
+    not contiguous (see the module docstring).
     """
     shapes = output_shapes(net)
     masks = effective_masks(net, plan)

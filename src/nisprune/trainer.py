@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import engine
 from .datasets import Dataset
 from .errors import ConfigError, DataError, ShapeError
 from .model import Layer, Network, validate
@@ -132,21 +133,6 @@ def check_trainable(net: Network):
         raise ShapeError("network fails validation: " + "; ".join("layer %d: %s" % v for v in report.violations))
 
 
-def _act(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "Identity":
-        return z
-    if kind == "ReLU":
-        return np.maximum(z, 0.0)
-    if kind == "Sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    return np.tanh(z)
-
-
 def _act_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if kind == "Identity":
         return np.ones_like(z)
@@ -167,7 +153,7 @@ def _forward_ops(params, ops, x):
             z = a @ w.T + b
         else:
             z = a
-        a_new = _act(act, z)
+        a_new = engine.apply_activation(act, z)
         records.append((a, z, a_new))
         a = a_new
     return a, records

@@ -101,6 +101,8 @@ def random_mixed_net(rng, with_lrn=True, with_skip=False):
     """Conv stack with optional pool/LRN/batch-norm, then a dense head.
 
     The last dense hidden layer is the FRL, followed by a dense classifier.
+    With ``with_skip`` an activation layer after the conv stack merges the
+    first conv's response, and the FRL merges a dense layer of its own width.
     """
     g1 = random_conv_geometry(rng, max_x=6, max_k=3, max_channels=3)
     layers = [conv_layer(rng, g1, activation=str(rng.choice(ACTS)))]
@@ -110,6 +112,10 @@ def random_mixed_net(rng, with_lrn=True, with_skip=False):
         layers.append(lrn_layer(rng, c, x))
     if rng.random() < 0.5:
         layers.append(batchnorm_layer(rng, c))
+    skip_edges = []
+    if with_skip:
+        layers.append(activation_layer(rng))
+        skip_edges.append((0, len(layers) - 1))
     if x >= 2 and rng.random() < 0.7:
         gp = None
         for k in (2,):
@@ -125,15 +131,15 @@ def random_mixed_net(rng, with_lrn=True, with_skip=False):
     flat = c * x * x
     hidden = int(rng.integers(2, 9))
     n_classes = int(rng.integers(2, 5))
+    if with_skip:
+        layers.append(dense_layer(rng, hidden, flat, activation=str(rng.choice(ACTS))))
+        skip_edges.append((len(layers) - 1, len(layers)))
+        flat = hidden
     layers.append(dense_layer(rng, hidden, flat, activation=str(rng.choice(ACTS))))
     frl_index = len(layers) - 1
     layers.append(dense_layer(rng, n_classes, hidden, activation="Identity"))
 
-    skip_edges = ()
-    if with_skip:
-        # duplicate the dense FRL width one layer earlier so an add-merge fits
-        pass
-    net = Network(layers=tuple(layers), frl_index=frl_index, skip_edges=skip_edges)
+    net = Network(layers=tuple(layers), frl_index=frl_index, skip_edges=tuple(skip_edges))
     report = validate(net)
     assert report.ok, report.violations
     return net

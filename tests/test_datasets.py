@@ -64,6 +64,25 @@ def test_empty_dataset_rejected(tmp_path):
         load_dataset(str(empty))
 
 
+def test_partly_labeled_rows_are_rejected(tmp_path):
+    partly = tmp_path / "partly.csv"
+    partly.write_text("x0,label\n1.0,0\n2.0,\n3.0,1\n")
+    with pytest.raises(DataError, match="row 3"):
+        load_dataset(str(partly))
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x0,label\n1.0,99999999999999999999\n")
+    with pytest.raises(DataError):
+        load_dataset(str(huge))
+
+
+def test_all_empty_label_column_loads_unlabeled(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("x0,x1,label\n1.0,2.0,\n3.0,4.0,\n")
+    back = load_dataset(str(path))
+    assert back.labels is None
+    assert np.array_equal(back.inputs, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_float_precision_survives(tmp_path):
     path = str(tmp_path / "p.csv")
     vals = np.array([[np.pi, np.e, 1e-300, -1.2345678901234567]])

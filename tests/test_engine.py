@@ -7,7 +7,7 @@ import factories
 import oracles
 from nisprune import engine
 from nisprune.errors import ConfigError, DataError, ShapeError
-from nisprune.model import Geometry, Layer, Network
+from nisprune.model import Geometry, Layer, Network, input_shape
 
 
 def test_identity_dense_forward():
@@ -104,17 +104,23 @@ def test_forward_rejects_bad_input_shape():
         engine.forward(net, np.zeros(4))
 
 
-def test_batch_responses_rows_match_traces():
-    rng = np.random.default_rng(4)
-    net = factories.random_mixed_net(rng)
-    from nisprune.model import input_shape
-
-    xs = rng.standard_normal((10,) + input_shape(net))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1]))
+@settings(max_examples=25, deadline=None)
+def test_batch_responses_rows_match_traces(seed, batch):
+    # A sample's responses must not depend on the batch it runs in, down to
+    # the sign of a zero: every layer kind, skip edges, and batches that fill
+    # one sample block exactly or spill one sample into the next.
+    rng = np.random.default_rng(seed)
+    net = factories.random_mixed_net(rng, with_skip=True)
+    xs = rng.standard_normal((batch,) + input_shape(net))
+    xs[rng.random(xs.shape) < 0.2] = -0.0
+    xs[rng.random(xs.shape) < 0.2] = 0.0
     for layer_id in range(len(net.layers)):
         resp = engine.batch_responses(net, xs, layer_id)
-        for m in range(10):
-            want = engine.flatten_response(engine.forward(net, xs[m])[layer_id + 1])
-            assert np.array_equal(resp[m], want)
+        for m in range(batch):
+            alone = engine.batch_responses(net, xs[m : m + 1], layer_id)[0]
+            traced = engine.flatten_response(engine.forward(net, xs[m])[layer_id + 1])
+            assert resp[m].tobytes() == alone.tobytes() == traced.tobytes()
 
 
 def test_batch_responses_errors():

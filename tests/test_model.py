@@ -14,7 +14,6 @@ from nisprune.model import (
     output_shapes,
     prunable_layer_ids,
     save_model,
-    slice_layers,
     validate,
 )
 from nisprune import engine
@@ -182,42 +181,45 @@ def test_geometry_example_from_pool_arithmetic():
     assert validate(net).ok
 
 
+def _range_out(net, x, start, end):
+    """Output of layers start..end on one sample, through the batch forward."""
+    return engine.batch_forward(net, x[None], start, end)[-1][0]
+
+
 def test_slice_matches_full_trace():
     rng = np.random.default_rng(7)
     net = factories.dense_chain(rng, [4, 5, 6, 3, 2])
     x = rng.standard_normal(4)
     trace = engine.forward(net, x)
 
-    whole = slice_layers(net, 0, len(net.layers) - 1)
-    assert np.array_equal(engine.forward_sub(whole, x), trace[-1])
-
-    single = slice_layers(net, 2, 2)
-    assert np.array_equal(engine.forward_sub(single, trace[2]), trace[3])
-
-    tail = slice_layers(net, 2, 3)
-    assert np.array_equal(engine.forward_sub(tail, trace[2]), trace[4])
+    assert np.array_equal(_range_out(net, x, 0, len(net.layers) - 1), trace[-1])
+    assert np.array_equal(_range_out(net, trace[2], 2, 2), trace[3])
+    assert np.array_equal(_range_out(net, trace[2], 2, 3), trace[4])
 
 
 def test_slice_composition():
     rng = np.random.default_rng(9)
     net = factories.dense_chain(rng, [3, 4, 4, 4, 2])
     x = rng.standard_normal(3)
-    left = engine.forward_sub(slice_layers(net, 0, 1), x)
-    right = engine.forward_sub(slice_layers(net, 2, 3), left)
-    assert np.array_equal(right, engine.forward_sub(slice_layers(net, 0, 3), x))
+    left = _range_out(net, x, 0, 1)
+    right = _range_out(net, left, 2, 3)
+    assert np.array_equal(right, _range_out(net, x, 0, 3))
 
 
 def test_slice_bounds_and_skip_crossing():
     rng = np.random.default_rng(5)
     net = factories.dense_chain(rng, [3, 3, 3])
     with pytest.raises(ConfigError):
-        slice_layers(net, 1, 5)
+        _range_out(net, np.zeros(3), 1, 5)
     with pytest.raises(ConfigError):
-        slice_layers(net, -1, 1)
+        _range_out(net, np.zeros(3), -1, 1)
 
     skipnet = factories.skip_dense_net(rng)
     with pytest.raises(ConfigError):
-        slice_layers(skipnet, 1, 2)  # edge (0,1) crosses the left boundary
+        _range_out(skipnet, np.zeros(6), 1, 2)  # edge (0,1) crosses the start of the range
+    # The same edge inside the range is evaluated, as in the full forward.
+    x = rng.standard_normal(6)
+    assert np.array_equal(_range_out(skipnet, x, 0, 2), engine.forward(skipnet, x)[-1])
 
 
 def test_atomic_write_replaces_content(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -478,3 +480,10 @@ def test_plan_json_rejects_malformed_documents():
     dup = b'{"layers": [{"layer_id": 0, "scores": [1.0], "mask": [1]}, {"layer_id": 0, "scores": [1.0], "mask": [1]}]}'
     with pytest.raises(ModelFormatError):
         plan_from_json(dup)
+
+
+@pytest.mark.parametrize("value", [-1, 2, 0.5, "1", [1]])
+def test_plan_json_rejects_mask_values_other_than_0_and_1(value):
+    doc = '{"layers": [{"layer_id": 0, "scores": [1.0, 2.0], "mask": [1, %s]}]}' % json.dumps(value)
+    with pytest.raises(ModelFormatError, match="mask"):
+        plan_from_json(doc.encode("utf-8"))

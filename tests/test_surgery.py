@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,42 @@ def test_skip_net_surgery_keeps_shared_mask_and_equality():
         x = rng.standard_normal(6)
         want = oracles.masked_forward(net, x, masks)[-1]
         assert np.array_equal(engine.forward(pruned, x)[-1], want)
+
+
+def test_lrn_over_gapped_channels_matches_removal_not_zeroing():
+    # Dropping conv channels 1 and 3 of 0..4 makes 0, 2 and 4 LRN neighbours
+    # in the pruned net, so its FRL is the original's with channels 1 and 3
+    # removed before the LRN, not merely zeroed.
+    rng = np.random.default_rng(61)
+    g = Geometry(x=4, y=4, k=3, s=1, p=1, c_in=2, c_out=5)
+    lrn = Layer(kind="LRN", geometry=Geometry(x=4, y=4, k=1, s=1, p=0, c_in=5, c_out=5), lrn_local_size=3)
+    net = Network(
+        layers=(factories.conv_layer(rng, g, "Tanh"), lrn, factories.dense_layer(rng, 6, 80, "ReLU"),
+                factories.dense_layer(rng, 3, 6)),
+        frl_index=2,
+    )
+    kept = np.array([0, 2, 4])
+    conv_mask = np.repeat(np.isin(np.arange(5), kept), 16).astype(np.uint8)
+    plan = manual_plan([
+        PlanEntry(0, conv_mask.astype(float), conv_mask, np.isin(np.arange(5), kept).astype(float)),
+        PlanEntry(2, np.ones(6), np.ones(6, dtype=np.uint8)),
+    ])
+    pruned, _ = apply_plan(net, plan)
+
+    lrn_kept = replace(lrn, geometry=replace(lrn.geometry, c_in=3, c_out=3))
+    kept_cols = np.flatnonzero(conv_mask)
+    zeroed_differs = 0
+    for _ in range(20):
+        x = rng.standard_normal((2, 4, 4))
+        conv_out = engine.layer_forward(net.layers[0], x)
+        removed = engine.layer_forward(lrn_kept, conv_out[kept])
+        frl = replace(net.layers[2], weights=net.layers[2].weights[:, kept_cols])
+        want = engine.layer_forward(frl, removed)
+        got = engine.forward(pruned, x)[3]
+        assert got.tobytes() == want.tobytes()
+        zeroed = oracles.masked_forward(net, x, effective_masks(net, plan))[3]
+        zeroed_differs += not np.array_equal(got, zeroed)
+    assert zeroed_differs > 0
 
 
 def test_skip_edge_mask_mismatch_is_rejected():
