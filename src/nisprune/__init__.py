@@ -48,6 +48,7 @@ from .surgery import (
     random_plan,
 )
 from .analysis import (
+    BoundContext,
     BoundReport,
     CostReport,
     PcaEnergy,
@@ -69,6 +70,7 @@ from .trainer import (
 
 __all__ = [
     "AffinityGraph",
+    "BoundContext",
     "BoundReport",
     "ConfigError",
     "CostReport",

@@ -8,7 +8,7 @@ counts, and the PCA energy of a response matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class BoundReport:
     holds: bool
 
 
-def verify_bound(net: Network, inputs, s_n, keep_mask, layer_id: int) -> BoundReport:
-    """Check the importance-weighted error bound for pruning at one layer.
+class BoundContext:
+    """The mask-independent half of the pruning error bound at one layer.
 
     Writing G for the subnetwork from layer_id+1 to the final response layer,
     the accumulated weighted error sum_m <s_n, |G(x_m) - G(s* . x_m)|> is
@@ -77,76 +77,129 @@ def verify_bound(net: Network, inputs, s_n, keep_mask, layer_id: int) -> BoundRe
     Lipschitz constants, and C_x = max_i sum_m |x_m[i]| over the layer's
     responses x_m.
 
+    Building the context checks the tail, runs the forward to the final
+    response layer, and computes r, C_sigma and C_x; ``check`` then costs one
+    pass of the masked tail per keep mask. ``trace``, when given, must be
+    ``engine.batch_forward(net, inputs, 0, end)`` for some end at or above the
+    final response layer; it replaces the context's own forward.
+
     The tail must be a chain of dense, conv, average-pool, batch-norm, and
     activation layers; max-pooling and LRN have no linear envelope of this
     form and are rejected, as are skip edges meeting the tail.
     """
-    if not 0 <= layer_id < net.frl_index:
-        raise ConfigError(
-            "bound needs a layer strictly below the final response layer, got %d" % layer_id
+
+    def __init__(self, net: Network, inputs, s_n, layer_id: int, trace=None):
+        if not 0 <= layer_id < net.frl_index:
+            raise ConfigError(
+                "bound needs a layer strictly below the final response layer, got %d" % layer_id
+            )
+        for src, dst in net.skip_edges:
+            if layer_id + 1 <= dst <= net.frl_index or layer_id + 1 <= src < net.frl_index:
+                raise ConfigError("skip edge (%d, %d) meets the tail; the bound needs a chain" % (src, dst))
+        for i in range(layer_id + 1, net.frl_index + 1):
+            layer = net.layers[i]
+            if layer.kind == "LRN":
+                raise ConfigError("layer %d: LRN in the tail has no absolute-weight envelope" % i)
+            if layer.kind == "Pool2D" and layer.pool_mode != "avg":
+                raise ConfigError("layer %d: max-pooling in the tail is not linear" % i)
+
+        shapes = output_shapes(net)
+        s_n = np.asarray(s_n, dtype=float).ravel()
+        if s_n.shape[0] != shape_size(shapes[net.frl_index]):
+            raise ShapeError("importance length %d does not match the final response" % s_n.shape[0])
+        if np.any(s_n < 0):
+            raise ShapeError("importance scores must be non-negative")
+
+        if trace is None:
+            trace = engine.batch_forward(net, inputs, 0, net.frl_index)
+        elif len(trace) < net.frl_index + 2:
+            raise ConfigError("trace stops below the final response layer")
+
+        # r = |W_{l+1}|^T ... |W_n|^T s_n, with batch-norm contributing |scale|
+        # and activations only their Lipschitz factor.
+        r = s_n.copy()
+        c_sigma = 1.0
+        for i in range(net.frl_index, layer_id, -1):
+            layer = net.layers[i]
+            if layer.kind == "Activation":
+                c_sigma *= engine.activation_lipschitz(layer.activation)
+                continue
+            if layer.kind == "BatchNorm":
+                scale = np.abs(layer.weights)
+                if len(shapes[i - 1]) == 3:
+                    scale = np.repeat(scale, shapes[i - 1][1] * shapes[i - 1][2])
+                r = scale * r
+                continue
+            if layer.kind in ("Dense", "Conv2D"):
+                c_sigma *= engine.activation_lipschitz(layer.activation)
+            r = r @ bp_matrix(layer)
+
+        self.net = net
+        self.layer_id = layer_id
+        self.width = shape_size(shapes[layer_id])
+        self.s_n = s_n
+        self.r = r
+        self.c_sigma = c_sigma
+        self.responses = trace[layer_id + 1]
+        self.frl = trace[net.frl_index + 1]
+        self.c_x = float(np.abs(engine.flatten_responses(self.responses)).sum(axis=0).max())
+        first = net.layers[layer_id + 1]
+        # A masked input's products are exact zeros only when it and its
+        # weights are finite; see _masked_tail.
+        self._drops_inputs = (
+            first.kind == "Dense"
+            and bool(np.isfinite(self.responses).all())
+            and bool(np.isfinite(first.weights).all())
         )
-    for src, dst in net.skip_edges:
-        if layer_id + 1 <= dst <= net.frl_index or layer_id + 1 <= src < net.frl_index:
-            raise ConfigError("skip edge (%d, %d) meets the tail; the bound needs a chain" % (src, dst))
-    for i in range(layer_id + 1, net.frl_index + 1):
-        layer = net.layers[i]
-        if layer.kind == "LRN":
-            raise ConfigError("layer %d: LRN in the tail has no absolute-weight envelope" % i)
-        if layer.kind == "Pool2D" and layer.pool_mode != "avg":
-            raise ConfigError("layer %d: max-pooling in the tail is not linear" % i)
 
-    shapes = output_shapes(net)
-    width = shape_size(shapes[layer_id])
-    s_n = np.asarray(s_n, dtype=float).ravel()
-    keep_mask = np.asarray(keep_mask, dtype=float).ravel()
-    if s_n.shape[0] != shape_size(shapes[net.frl_index]):
-        raise ShapeError("importance length %d does not match the final response" % s_n.shape[0])
-    if keep_mask.shape[0] != width:
-        raise ShapeError("mask length %d does not match layer %d width %d" % (keep_mask.shape[0], layer_id, width))
-    if np.any(s_n < 0):
-        raise ShapeError("importance scores must be non-negative")
+    def check(self, keep_mask) -> BoundReport:
+        """Both sides of the bound for one keep mask over the layer's responses."""
+        keep_mask = np.asarray(keep_mask, dtype=float).ravel()
+        if keep_mask.shape[0] != self.width:
+            raise ShapeError("mask length %d does not match layer %d width %d"
+                             % (keep_mask.shape[0], self.layer_id, self.width))
+        masked = self._masked_tail(keep_mask)
+        lhs = 0.0
+        for diff in engine.flatten_responses(np.abs(self.frl - masked)):
+            lhs += float(self.s_n @ diff)
+        rhs = self.c_sigma * self.c_x * float(self.r @ (1.0 - keep_mask))
+        return BoundReport(
+            layer_id=self.layer_id,
+            lhs=lhs,
+            rhs=rhs,
+            c_sigma_product=self.c_sigma,
+            c_x=self.c_x,
+            r_vector=self.r,
+            holds=bool(lhs <= rhs * (1.0 + 1e-9)),
+        )
 
-    trace = engine.batch_forward(net, inputs, 0, net.frl_index)
-    resp = engine.flatten_responses(trace[layer_id + 1])
+    def _masked_tail(self, keep_mask: np.ndarray) -> np.ndarray:
+        # The final responses of every sample with the layer masked. Where
+        # the first tail layer is dense, its dropped inputs are left out
+        # instead of multiplied by zero: the ordered sums then skip only zero
+        # terms, so responses differ at most in the sign of a zero and
+        # |FRL - masked| is bit-identical. A mask keeping nothing leaves no
+        # term to start a sum from and takes the masked path.
+        net, first = self.net, self.layer_id + 1
+        kept = np.flatnonzero(keep_mask)
+        binary = bool(np.all((keep_mask == 0.0) | (keep_mask == 1.0)))
+        if self._drops_inputs and binary and kept.size:
+            layers = list(net.layers)
+            layers[first] = replace(layers[first], weights=layers[first].weights[:, kept])
+            inputs = engine.flatten_responses(self.responses)[:, kept]
+            return engine.batch_forward(replace(net, layers=tuple(layers)), inputs, first, net.frl_index)[-1]
+        masked_in = self.responses * keep_mask.reshape(self.responses.shape[1:])
+        return engine.batch_forward(net, masked_in, first, net.frl_index)[-1]
 
-    # r = |W_{l+1}|^T ... |W_n|^T s_n, with batch-norm contributing |scale|
-    # and activations only their Lipschitz factor.
-    r = s_n.copy()
-    c_sigma = 1.0
-    for i in range(net.frl_index, layer_id, -1):
-        layer = net.layers[i]
-        if layer.kind == "Activation":
-            c_sigma *= engine.activation_lipschitz(layer.activation)
-            continue
-        if layer.kind == "BatchNorm":
-            scale = np.abs(layer.weights)
-            if len(shapes[i - 1]) == 3:
-                scale = np.repeat(scale, shapes[i - 1][1] * shapes[i - 1][2])
-            r = scale * r
-            continue
-        if layer.kind in ("Dense", "Conv2D"):
-            c_sigma *= engine.activation_lipschitz(layer.activation)
-        r = r @ bp_matrix(layer)
 
-    # The tail runs once more over every sample with the layer masked; the
-    # unmasked tail output is the FRL of the trace above.
-    masked_in = trace[layer_id + 1] * keep_mask.reshape(shapes[layer_id])
-    masked = engine.batch_forward(net, masked_in, layer_id + 1, net.frl_index)[-1]
-    lhs = 0.0
-    for diff in engine.flatten_responses(np.abs(trace[-1] - masked)):
-        lhs += float(s_n @ diff)
+def verify_bound(net: Network, inputs, s_n, keep_mask, layer_id: int) -> BoundReport:
+    """Check the importance-weighted error bound for pruning at one layer.
 
-    c_x = float(np.abs(resp).sum(axis=0).max())
-    rhs = c_sigma * c_x * float(r @ (1.0 - keep_mask))
-    return BoundReport(
-        layer_id=layer_id,
-        lhs=lhs,
-        rhs=rhs,
-        c_sigma_product=c_sigma,
-        c_x=c_x,
-        r_vector=r,
-        holds=bool(lhs <= rhs * (1.0 + 1e-9)),
-    )
+    One ``BoundContext(net, inputs, s_n, layer_id).check(keep_mask)``; see
+    ``BoundContext`` for the bound and the tails it accepts. To check many
+    masks at one layer, build the context once and call ``check`` per mask.
+    """
+    return BoundContext(net, inputs, s_n, layer_id).check(keep_mask)
 
 
 @dataclass

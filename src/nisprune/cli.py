@@ -20,17 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, engine, ranking, surgery, trainer
-from .datasets import Dataset, load_dataset
+from .datasets import load_dataset
 from .errors import ConfigError, DataError, ModelFormatError, ShapeError
 from .model import (
     Network,
     atomic_write_bytes,
     atomic_write_text,
-    output_shapes,
     prunable_layer_ids,
     read_model,
     save_model,
-    shape_size,
 )
 from .propagation import ImportancePlan, PruneConfig, keep_count, plan_to_json
 
@@ -161,9 +159,8 @@ def _prune_config(net: Network, cfg: ExperimentConfig) -> PruneConfig:
     return PruneConfig(ratios=ratios)
 
 
-def _frl_scores(net: Network, data: Dataset, alpha: float) -> np.ndarray:
-    resp = engine.batch_responses(net, data.inputs, net.frl_index)
-    return ranking.inffs_scores(ranking.build_affinity(resp, alpha))
+def _frl_scores(frl_responses: np.ndarray, alpha: float) -> np.ndarray:
+    return ranking.inffs_scores(ranking.build_affinity(frl_responses, alpha))
 
 
 def _build_plan(net, data, pc, strategy, alpha, seed) -> ImportancePlan:
@@ -185,7 +182,7 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 def cmd_rank(cfg: ExperimentConfig) -> None:
     net, data = _load(cfg)
-    scores = _frl_scores(net, data, cfg.alpha)
+    scores = _frl_scores(engine.batch_responses(net, data.inputs, net.frl_index), cfg.alpha)
     lines = ["neuron_index,score"]
     for i in np.argsort(-scores, kind="stable"):
         lines.append("%d,%s" % (i, repr(float(scores[i]))))
@@ -265,11 +262,14 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
     if cfg.trials < 0:
         raise ConfigError("trials must be non-negative")
     fraction = cfg.ratios.get("all", 0.5)
-    width = shape_size(output_shapes(net)[cfg.layer]) if 0 <= cfg.layer < len(net.layers) else 0
-    if width == 0:
-        raise ConfigError("layer %r is out of range" % (cfg.layer,))
+    # One forward serves the FRL ranking and the bound context, which checks
+    # the layer and pays the mask-independent work once for every trial.
+    trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
+    s_n = _frl_scores(engine.flatten_responses(trace[-1]), cfg.alpha)
+    bound = analysis.BoundContext(net, data.inputs, s_n, cfg.layer, trace=trace)
+    del trace
+    width = bound.width
     keep = keep_count(width, fraction)
-    s_n = _frl_scores(net, data, cfg.alpha)
 
     rng = np.random.default_rng(cfg.seeds[0])
     results = []
@@ -278,7 +278,7 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
     for trial in range(cfg.trials):
         mask = np.zeros(width)
         mask[rng.permutation(width)[:keep]] = 1.0
-        report = analysis.verify_bound(net, data.inputs, s_n, mask, cfg.layer)
+        report = bound.check(mask)
         slack = report.rhs / report.lhs if report.lhs > 0 else None
         if slack is not None:
             ratios.append(slack)

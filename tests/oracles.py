@@ -9,6 +9,9 @@ If the library and an oracle agree, agreement is meaningful.
 import numpy as np
 
 from nisprune import engine
+from nisprune.analysis import BoundReport
+from nisprune.model import output_shapes
+from nisprune.propagation import bp_matrix
 
 
 def conv_importance_brute(kernel, geometry, s_out):
@@ -119,6 +122,55 @@ def masked_forward(net, x, masks):
                 out = out + trace[src + 1]
         trace.append(out)
     return trace
+
+
+def verify_bound_reference(net, inputs, s_n, keep_mask, layer_id):
+    """Both sides of the pruning bound, recomputed from scratch for one mask.
+
+    The full forward to the final response layer, r chained from the
+    explicit propagation matrices, and the tail run over the masked responses
+    multiplied by zero, with no context shared between calls. Expects a tail
+    that the library accepts.
+    """
+    shapes = output_shapes(net)
+    s_n = np.asarray(s_n, dtype=float).ravel()
+    keep_mask = np.asarray(keep_mask, dtype=float).ravel()
+    trace = engine.batch_forward(net, inputs, 0, net.frl_index)
+
+    r = s_n.copy()
+    c_sigma = 1.0
+    for i in range(net.frl_index, layer_id, -1):
+        layer = net.layers[i]
+        if layer.kind == "Activation":
+            c_sigma *= engine.activation_lipschitz(layer.activation)
+            continue
+        if layer.kind == "BatchNorm":
+            scale = np.abs(layer.weights)
+            if len(shapes[i - 1]) == 3:
+                scale = np.repeat(scale, shapes[i - 1][1] * shapes[i - 1][2])
+            r = scale * r
+            continue
+        if layer.kind in ("Dense", "Conv2D"):
+            c_sigma *= engine.activation_lipschitz(layer.activation)
+        r = r @ bp_matrix(layer)
+
+    masked_in = trace[layer_id + 1] * keep_mask.reshape(shapes[layer_id])
+    masked = engine.batch_forward(net, masked_in, layer_id + 1, net.frl_index)[-1]
+    lhs = 0.0
+    for diff in engine.flatten_responses(np.abs(trace[-1] - masked)):
+        lhs += float(s_n @ diff)
+
+    c_x = float(np.abs(engine.flatten_responses(trace[layer_id + 1])).sum(axis=0).max())
+    rhs = c_sigma * c_x * float(r @ (1.0 - keep_mask))
+    return BoundReport(
+        layer_id=layer_id,
+        lhs=lhs,
+        rhs=rhs,
+        c_sigma_product=c_sigma,
+        c_x=c_x,
+        r_vector=r,
+        holds=bool(lhs <= rhs * (1.0 + 1e-9)),
+    )
 
 
 def finite_diff_grads(net, inputs, labels, step=1e-5):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factories
 from nisprune import engine
-from nisprune.analysis import count_cost, pca_energy, verify_bound, ware
+from nisprune.analysis import BoundContext, count_cost, pca_energy, verify_bound, ware
 from nisprune.errors import ConfigError, DataError, ShapeError
-from nisprune.model import Geometry, Layer, Network
+from nisprune.model import Geometry, Layer, Network, input_shape, output_shapes, shape_size, validate
 from nisprune.propagation import PruneConfig
 from nisprune.surgery import apply_plan, random_plan
 from nisprune.trainer import make_mlp
@@ -212,6 +214,89 @@ def test_bound_layer_range_and_shape_errors():
         verify_bound(net, xs, np.ones(4), np.ones(4), 0)
     with pytest.raises(ShapeError):
         verify_bound(net, xs, -np.ones(4), np.ones(5), 0)
+    with pytest.raises(ConfigError, match="trace"):
+        BoundContext(net, xs, np.ones(4), 0, trace=engine.batch_forward(net, xs, 0, 0))
+
+
+def _geometry_on(rng, c_in, x, c_out):
+    while True:
+        k, s, p = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        if x + 2 * p >= k:
+            return Geometry(x=x, y=(x + 2 * p - k) // s + 1, k=k, s=s, p=p, c_in=c_in, c_out=c_out)
+
+
+def _bound_chain(rng, first_tail):
+    """Layer 0, a first tail layer of kind ``first_tail``, maybe an activation,
+    then a dense FRL and a classifier; the bound is taken at layer 0."""
+
+    def act():
+        return str(rng.choice(factories.ACTS))
+
+    if first_tail in ("Conv2D", "Pool2D") or rng.random() < 0.5:
+        g = factories.random_conv_geometry(rng)
+        layers = [factories.conv_layer(rng, g, act())]
+        c, x = g.c_out, g.y
+    else:
+        c, x = int(rng.integers(2, 12)), 1
+        layers = [factories.dense_layer(rng, c, int(rng.integers(2, 9)), act())]
+    flat = c * x * x
+    if first_tail == "Dense":
+        first = factories.dense_layer(rng, int(rng.integers(2, 9)), flat, act())
+        signed_zeros = rng.random(first.weights.shape) < 0.2
+        first.weights[signed_zeros] = rng.choice([0.0, -0.0], size=int(signed_zeros.sum()))
+        flat = first.weights.shape[0]
+    elif first_tail in ("Conv2D", "Pool2D"):
+        c_out = int(rng.integers(1, 4)) if first_tail == "Conv2D" else c
+        g = _geometry_on(rng, c, x, c_out)
+        if first_tail == "Conv2D":
+            first = factories.conv_layer(rng, g, act())
+        else:
+            first = Layer(kind="Pool2D", geometry=g, pool_mode="avg")
+        flat = c_out * g.y * g.y
+    elif first_tail == "BatchNorm":
+        first = factories.batchnorm_layer(rng, c)
+    else:
+        first = factories.activation_layer(rng)
+    layers.append(first)
+    if rng.random() < 0.5:
+        layers.append(factories.activation_layer(rng))
+    hidden = int(rng.integers(2, 7))
+    layers += [factories.dense_layer(rng, hidden, flat, act()), factories.dense_layer(rng, 2, hidden)]
+    net = Network(layers=tuple(layers), frl_index=len(layers) - 2)
+    assert validate(net).ok
+    return net
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["Dense", "Conv2D", "Pool2D", "BatchNorm", "Activation"]),
+    st.sampled_from([1, 5, 70]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bound_context_matches_reference(seed, first_tail, samples):
+    # Contexts with their own forward and with a given trace check masks that
+    # keep nothing, everything and a random subset; every number must equal
+    # the from-scratch reference exactly, with signed zeros in the inputs and
+    # in a dense tail's weights.
+    rng = np.random.default_rng(seed)
+    net = _bound_chain(rng, first_tail)
+    xs = rng.standard_normal((samples,) + input_shape(net))
+    xs[rng.random(xs.shape) < 0.2] = -0.0
+    xs[rng.random(xs.shape) < 0.2] = 0.0
+    s_n = np.abs(rng.standard_normal(shape_size(output_shapes(net)[net.frl_index])))
+    s_n[rng.random(s_n.shape) < 0.2] = 0.0
+    width = shape_size(output_shapes(net)[0])
+    own = BoundContext(net, xs, s_n, 0)
+    given_trace = BoundContext(net, xs, s_n, 0, trace=engine.batch_forward(net, xs))
+    for mask in (np.zeros(width), np.ones(width), (rng.random(width) < 0.5).astype(float)):
+        want = oracles.verify_bound_reference(net, xs, s_n, mask, 0)
+        for got in (own.check(mask), given_trace.check(mask), verify_bound(net, xs, s_n, mask, 0)):
+            assert got.lhs == want.lhs
+            assert got.rhs == want.rhs
+            assert got.c_x == want.c_x
+            assert got.c_sigma_product == want.c_sigma_product
+            assert np.array_equal(got.r_vector, want.r_vector)
+            assert got.holds == want.holds
 
 
 # --- operation and parameter counts ---------------------------------------------

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import factories
-from nisprune import cli, engine
+from nisprune import cli, engine, ranking
+from nisprune.analysis import verify_bound
 from nisprune.datasets import Dataset, save_dataset
-from nisprune.model import load_model, read_model, save_model, write_model
-from nisprune.propagation import PruneConfig, plan_from_json
+from nisprune.model import Geometry, Layer, Network, load_model, read_model, save_model, write_model
+from nisprune.propagation import PruneConfig, keep_count, plan_from_json
 from nisprune.surgery import nisp_plan
 from nisprune.trainer import SynthSpec, make_mlp, synth_dataset
 
@@ -254,6 +255,52 @@ def test_verify_bad_layer_exits_2(workspace):
     code = run(["verify", "--model", workspace["model"], "--data", workspace["csv"],
                 "--out", workspace["out"], "--layer", "5", "--trials", "2"])
     assert code == 2
+
+
+def test_verify_trials_match_direct_bound_calls(workspace):
+    code = run(["verify", "--model", workspace["model"], "--data", workspace["csv"],
+                "--out", workspace["out"], "--layer", "0", "--trials", "6", "--seed", "9"])
+    assert code == 0
+    with open(os.path.join(workspace["out"], "bound_report.json")) as fh:
+        doc = json.load(fh)
+    net, inputs = workspace["net"], workspace["data"].inputs
+    s_n = ranking.inffs_scores(ranking.build_affinity(engine.batch_responses(net, inputs, net.frl_index), 0.5))
+    width = net.layers[0].weights.shape[0]
+    rng = np.random.default_rng(9)
+    for result in doc["results"]:
+        mask = np.zeros(width)
+        mask[rng.permutation(width)[: keep_count(width, 0.5)]] = 1.0
+        report = verify_bound(net, inputs, s_n, mask, 0)
+        assert result["lhs"] == report.lhs
+        assert result["rhs"] == report.rhs
+        assert result["holds"] == report.holds
+
+
+@pytest.fixture
+def conv_workspace(tmp_path):
+    # conv -> LRN -> max-pool -> dense FRL -> classifier
+    rng = np.random.default_rng(17)
+    g = Geometry(x=6, y=6, k=3, s=1, p=1, c_in=2, c_out=4)
+    layers = (
+        factories.conv_layer(rng, g, activation="ReLU"),
+        factories.lrn_layer(rng, 4, 6),
+        Layer(kind="Pool2D", geometry=Geometry(x=6, y=3, k=2, s=2, p=0, c_in=4, c_out=4), pool_mode="max"),
+        factories.dense_layer(rng, 5, 36, activation="ReLU"),
+        factories.dense_layer(rng, 3, 5),
+    )
+    model_path = str(tmp_path / "conv.json")
+    write_model(Network(layers=layers, frl_index=3), model_path)
+    data_path = str(tmp_path / "conv.csv")
+    save_dataset(Dataset(inputs=rng.standard_normal((8, 2, 6, 6))), data_path)
+    return {"model": model_path, "csv": data_path, "out": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("layer", [3, 4, 0, 1], ids=["at-frl", "above-frl", "lrn-tail", "maxpool-tail"])
+def test_verify_rejects_bad_layer_even_without_trials(conv_workspace, layer):
+    code = run(["verify", "--model", conv_workspace["model"], "--data", conv_workspace["csv"],
+                "--out", conv_workspace["out"], "--layer", str(layer), "--trials", "0"])
+    assert code == 2
+    assert not os.path.exists(os.path.join(conv_workspace["out"], "bound_report.json"))
 
 
 # --- shared behaviour ----------------------------------------------------------------
