@@ -182,12 +182,13 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 def cmd_rank(cfg: ExperimentConfig) -> None:
     net, data = _load(cfg)
-    scores = _frl_scores(engine.batch_responses(net, data.inputs, net.frl_index), cfg.alpha)
+    # One forward serves the FRL ranking and the per-layer PCA.
+    trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
+    scores = _frl_scores(engine.flatten_responses(trace[-1]), cfg.alpha)
     lines = ["neuron_index,score"]
     for i in np.argsort(-scores, kind="stable"):
         lines.append("%d,%s" % (i, repr(float(scores[i]))))
     if cfg.pca_threshold is not None:
-        trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
         for layer_id in range(net.frl_index + 1):
             resp = engine.flatten_responses(trace[layer_id + 1])
             energy = analysis.pca_energy(resp, cfg.pca_threshold)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .model import Layer, Network
+from .model import Layer, Network, window_index
 
 # Local response normalization runs with fixed constants; importance
 # propagation never looks at them.
@@ -120,13 +120,15 @@ def _conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 def _pool_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     _check_spatial(layer, x, "pool")
     g = layer.geometry
-    xp = np.pad(x, ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
+    # A zero slot past the grid stands for the padding. The windows are
+    # gathered position-major and contiguous so each window reduces its k*k
+    # values in the same order as a (k, k) slice of the padded input; other
+    # layouts change the bits of average pooling.
+    xp = np.pad(x.reshape(len(x), g.c_in, g.x * g.x), ((0, 0), (0, 0), (0, 1)))
+    windows = np.ascontiguousarray(xp[:, :, window_index(g)].transpose(2, 0, 1, 3))
     reduce = np.max if layer.pool_mode == "max" else np.mean
-    out = np.empty((len(x), g.c_out, g.y, g.y))
-    for i in range(g.y):
-        for j in range(g.y):
-            out[:, :, i, j] = reduce(xp[:, :, i * g.s : i * g.s + g.k, j * g.s : j * g.s + g.k], axis=(2, 3))
-    return out
+    out = reduce(windows, axis=-1)  # (y*y, n, c)
+    return out.transpose(1, 2, 0).reshape(len(x), g.c_out, g.y, g.y)
 
 
 def _lrn_forward(layer: Layer, x: np.ndarray) -> np.ndarray:

@@ -48,6 +48,20 @@ class Geometry:
     c_out: int
 
 
+def window_index(g: Geometry) -> np.ndarray:
+    """(y*y, k*k) table of the flat input index read by each window position.
+
+    Row yr*y + yc, column a*k + b holds xr*x + xc for the input position
+    (xr, xc) = (yr*s + a - p, yc*s + b - p). A position in the zero padding
+    holds x*x, one slot past the flattened grid.
+    """
+    pos = (np.arange(g.y) * g.s)[:, None] + np.arange(g.k) - g.p  # (y, k)
+    inside = (pos >= 0) & (pos < g.x)
+    flat = pos[:, None, :, None] * g.x + pos[None, :, None, :]
+    valid = inside[:, None, :, None] & inside[None, :, None, :]
+    return np.where(valid, flat, g.x * g.x).reshape(g.y * g.y, g.k * g.k)
+
+
 @dataclass(frozen=True, eq=False)
 class Layer:
     kind: str

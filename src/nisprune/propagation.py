@@ -22,11 +22,12 @@ layers consume one response (a skip edge), their propagated contributions
 sum.
 
 Every rule also exists as an explicit matrix: ``bp_matrix`` builds the
-(out_size x in_size) nonnegative matrix BP with s_in = s_out @ BP, assembled
-directly from layer geometry rather than from the loop rules above.
+(out_size x in_size) nonnegative matrix BP with s_in = s_out @ BP.
 ``importance_closed_form`` chains those matrices, which is the product
-|w^(k+1)|^T ... |w^(n)|^T s_n written out explicitly; it serves as an
-independent route to the same numbers as the backward pass.
+|w^(k+1)|^T ... |w^(n)|^T s_n written out explicitly, a second route to the
+numbers of the backward pass. The conv and pool rules and their matrices
+read the same ``model.window_index`` table, so the independent check of
+both is the brute-force enumeration of receptive fields in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .model import (
     output_shapes,
     prunable_layer_ids,
     shape_size,
+    window_index,
 )
 
 
@@ -121,6 +123,18 @@ def propagate_dense(weights: np.ndarray, s_out: np.ndarray) -> np.ndarray:
     return np.abs(w).T @ s
 
 
+def _scatter_windows(g: Geometry, contrib: np.ndarray) -> np.ndarray:
+    """Sum (y*y, c, k*k) window contributions into a (c, x, x) input grid.
+
+    Every input position adds its contributions window by window in
+    window_index order, starting from zero; those landing in the padding
+    are dropped.
+    """
+    acc = np.zeros((g.x * g.x + 1, contrib.shape[1]))
+    np.add.at(acc, window_index(g), contrib.transpose(0, 2, 1))
+    return acc[:-1].T.reshape(-1, g.x, g.x)
+
+
 def propagate_conv(kernel: np.ndarray, geometry: Geometry, s_out: np.ndarray) -> np.ndarray:
     """Scatter each output position's importance into its receptive field.
 
@@ -132,12 +146,10 @@ def propagate_conv(kernel: np.ndarray, geometry: Geometry, s_out: np.ndarray) ->
     if s.shape != (g.c_out, g.y, g.y):
         raise ShapeError("conv propagation expects %r, got %r" % ((g.c_out, g.y, g.y), s.shape))
     absk = np.abs(np.asarray(kernel, dtype=float))  # (k, k, c_in, c_out)
-    acc = np.zeros((g.c_in, g.x + 2 * g.p, g.x + 2 * g.p))
-    for yr in range(g.y):
-        for yc in range(g.y):
-            contrib = np.einsum("abnf,f->nab", absk, s[:, yr, yc])
-            acc[:, yr * g.s : yr * g.s + g.k, yc * g.s : yc * g.s + g.k] += contrib
-    return acc[:, g.p : g.p + g.x, g.p : g.p + g.x]
+    # Sums over f in the same order as a per-window einsum("abnf,f->nab");
+    # a matmul or a transposed operand would change the bits.
+    contrib = np.einsum("abnf,fp->pnab", absk, s.reshape(g.c_out, g.y * g.y))
+    return _scatter_windows(g, contrib.reshape(g.y * g.y, g.c_in, g.k * g.k))
 
 
 def propagate_pool(geometry: Geometry, s_out: np.ndarray) -> np.ndarray:
@@ -146,14 +158,8 @@ def propagate_pool(geometry: Geometry, s_out: np.ndarray) -> np.ndarray:
     s = np.asarray(s_out, dtype=float)
     if s.shape != (g.c_out, g.y, g.y):
         raise ShapeError("pool propagation expects %r, got %r" % ((g.c_out, g.y, g.y), s.shape))
-    share = s / float(g.k * g.k)
-    acc = np.zeros((g.c_in, g.x + 2 * g.p, g.x + 2 * g.p))
-    for yr in range(g.y):
-        for yc in range(g.y):
-            acc[:, yr * g.s : yr * g.s + g.k, yc * g.s : yc * g.s + g.k] += share[
-                :, yr : yr + 1, yc : yc + 1
-            ]
-    return acc[:, g.p : g.p + g.x, g.p : g.p + g.x]
+    share = s.reshape(g.c_out, g.y * g.y).T / float(g.k * g.k)
+    return _scatter_windows(g, np.broadcast_to(share[:, :, None], (g.y * g.y, g.c_out, g.k * g.k)))
 
 
 def propagate_lrn(local_size: int, s_out: np.ndarray) -> np.ndarray:
@@ -192,50 +198,27 @@ def bp_conv_matrix(kernel: np.ndarray, geometry: Geometry) -> np.ndarray:
 
     Row (f, yr, yc), column (n, xr, xc) holds |kernel[a, b, n, f]| where
     a = xr - yr*s + p and b = xc - yc*s + p, whenever those land inside the
-    kernel and (xr, xc) inside the unpadded input. Built position by position
-    from the geometry, independently of the scatter rule above.
+    kernel and (xr, xc) inside the unpadded input. It reads the same
+    window_index as the scatter rule above; the brute-force enumerations in
+    tests/oracles.py check both independently.
     """
     g = geometry
-    kernel = np.asarray(kernel, dtype=float)
-    y2, x2 = g.y * g.y, g.x * g.x
-    bp = np.zeros((g.c_out * y2, g.c_in * x2))
-    cols = np.arange(g.c_in) * x2
-    for f in range(g.c_out):
-        for yr in range(g.y):
-            for yc in range(g.y):
-                row = f * y2 + yr * g.y + yc
-                for a in range(g.k):
-                    xr = yr * g.s + a - g.p
-                    if not 0 <= xr < g.x:
-                        continue
-                    for b in range(g.k):
-                        xc = yc * g.s + b - g.p
-                        if not 0 <= xc < g.x:
-                            continue
-                        bp[row, cols + xr * g.x + xc] = np.abs(kernel[a, b, :, f])
-    return bp
+    absk = np.abs(np.asarray(kernel, dtype=float)).reshape(g.k * g.k, g.c_in, g.c_out)
+    idx = window_index(g)
+    pos, off = np.nonzero(idx < g.x * g.x)
+    bp = np.zeros((g.c_out, g.y * g.y, g.c_in, g.x * g.x))
+    bp[:, pos, :, idx[pos, off]] = absk[off].transpose(0, 2, 1)
+    return bp.reshape(g.c_out * g.y * g.y, g.c_in * g.x * g.x)
 
 
 def bp_pool_matrix(geometry: Geometry) -> np.ndarray:
-    """Block-diagonal over channels; windows carry 1/(k*k) at each position."""
+    """Block-diagonal over channels; windows carry 1/(k*k) at each position.
+
+    That is the conv matrix of a kernel that averages each channel alone.
+    """
     g = geometry
-    y2, x2 = g.y * g.y, g.x * g.x
-    bp = np.zeros((g.c_out * y2, g.c_in * x2))
-    share = 1.0 / float(g.k * g.k)
-    for c in range(g.c_out):
-        for yr in range(g.y):
-            for yc in range(g.y):
-                row = c * y2 + yr * g.y + yc
-                for a in range(g.k):
-                    xr = yr * g.s + a - g.p
-                    if not 0 <= xr < g.x:
-                        continue
-                    for b in range(g.k):
-                        xc = yc * g.s + b - g.p
-                        if not 0 <= xc < g.x:
-                            continue
-                        bp[row, c * x2 + xr * g.x + xc] = share
-    return bp
+    kernel = np.broadcast_to(np.eye(g.c_in, g.c_out) / float(g.k * g.k), (g.k, g.k, g.c_in, g.c_out))
+    return bp_conv_matrix(kernel, g)
 
 
 def bp_lrn_matrix(local_size: int, geometry: Geometry) -> np.ndarray:
@@ -310,33 +293,67 @@ def check_ratios(net: Network, cfg: PruneConfig) -> None:
         )
 
 
-def _conv_mask_from_channels(ch_mask: np.ndarray, positions: int) -> np.ndarray:
-    return np.repeat(ch_mask.astype(np.uint8), positions)
+class _MaskPicker:
+    """The keep-mask policy of every plan builder, one layer at a time.
 
+    Layers are picked from the final response layer downward, so a merge
+    layer's mask is fixed before its skip sources need one. Both ends of a
+    skip edge must keep the same neuron set for surgery to stay
+    shape-consistent, so each merge forces its mask onto its sources. Edges
+    that touch the classifier head play no part.
+    """
 
-def _entry_for_layer(net, layer_id, s, cfg, forced_masks):
-    """Mask selection for one layer during the backward pass."""
-    layer = net.layers[layer_id]
-    if layer.kind not in PRUNABLE_KINDS:
-        return PlanEntry(layer_id, s, np.ones(s.shape[0], dtype=np.uint8), None)
+    def __init__(self, net: Network, cfg: PruneConfig):
+        check_ratios(net, cfg)
+        self.net = net
+        self.cfg = cfg
+        self.sources = {}  # merge layer id -> its skip source ids
+        for src, dst in net.skip_edges:
+            if dst <= net.frl_index:
+                self.sources.setdefault(dst, []).append(src)
+        self.forced = {}
+        self.entries = {}
 
-    if layer.kind == "Conv2D":
-        g = layer.geometry
-        ch = channel_scores(s.reshape(g.c_out, g.y, g.y))
-        if layer_id in forced_masks:
-            mask = forced_masks[layer_id]
+    def pick(self, layer_id: int, s: np.ndarray) -> PlanEntry:
+        """Keep mask of one layer given its flattened importance ``s``.
+
+        A mask forced by a merge above wins. Otherwise a conv layer keeps
+        whole channels ranked by their summed importance, a dense layer keeps
+        its top scores, and any other layer keeps everything.
+        """
+        layer = self.net.layers[layer_id]
+        fraction = self.cfg.ratios.get(layer_id, 1.0)
+        ch = None
+        if layer.kind == "Conv2D":
+            g = layer.geometry
+            ch = channel_scores(s.reshape(g.c_out, g.y, g.y))
+        if layer.kind not in PRUNABLE_KINDS:
+            mask = np.ones(s.shape[0], dtype=np.uint8)
+        elif layer_id in self.forced:
+            mask = self.forced[layer_id]
+        elif layer.kind == "Conv2D":
+            mask = np.repeat(prune_indicator(ch, keep_count(g.c_out, fraction)), g.y * g.y)
         else:
-            fraction = cfg.ratios.get(layer_id, 1.0)
-            ch_mask = prune_indicator(ch, keep_count(g.c_out, fraction))
-            mask = _conv_mask_from_channels(ch_mask, g.y * g.y)
-        return PlanEntry(layer_id, s, mask, ch)
+            mask = prune_indicator(s, keep_count(s.shape[0], fraction))
 
-    if layer_id in forced_masks:
-        mask = forced_masks[layer_id]
-    else:
-        fraction = cfg.ratios.get(layer_id, 1.0)
-        mask = prune_indicator(s, keep_count(s.shape[0], fraction))
-    return PlanEntry(layer_id, s, mask, None)
+        for src in self.sources.get(layer_id, ()):
+            if self.net.layers[src].kind not in PRUNABLE_KINDS:
+                if not mask.all():
+                    raise ConfigError(
+                        "skip edge (%d, %d): pruning the merge needs a prunable source layer"
+                        % (src, layer_id)
+                    )
+                continue
+            if src in self.forced and not np.array_equal(self.forced[src], mask):
+                raise ConfigError("layer %d sits on two skip edges that demand different masks" % src)
+            self.forced[src] = mask
+
+        entry = PlanEntry(layer_id, s, mask, ch)
+        self.entries[layer_id] = entry
+        return entry
+
+    def plan(self) -> ImportancePlan:
+        return ImportancePlan(entries={lid: self.entries[lid] for lid in sorted(self.entries)})
 
 
 def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> ImportancePlan:
@@ -349,11 +366,9 @@ def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> Importance
 
     A skip edge makes the merge layer's response feed the source layer
     directly, so the source receives the merge's masked importance on top of
-    the usual chain contribution, and both ends must keep the same neuron
-    set for surgery to stay shape-consistent: the merge's mask is forced
-    onto the source. Edges that touch the classifier head play no part.
+    the usual chain contribution, and takes the merge's mask.
     """
-    check_ratios(net, cfg)
+    picker = _MaskPicker(net, cfg)
     shapes = output_shapes(net)
     frl = net.frl_index
 
@@ -366,48 +381,37 @@ def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> Importance
     if not np.isfinite(s_n).all() or (s_n < 0).any():
         raise ShapeError("importance scores must be finite and nonnegative")
 
-    skip_sources = {}
-    for src, dst in net.skip_edges:
-        if dst <= frl:
-            skip_sources.setdefault(dst, []).append(src)
-
     incoming = {frl: s_n.copy()}
-    forced_masks = {}
-    entries = {}
     for layer_id in range(frl, -1, -1):
         s = incoming.pop(layer_id, None)
         if s is None:
             s = np.zeros(shape_size(shapes[layer_id]))
-        entry = _entry_for_layer(net, layer_id, s, cfg, forced_masks)
-        entries[layer_id] = entry
-        s_kept = s * entry.mask
-
-        for src in skip_sources.get(layer_id, ()):
-            if src in incoming:
-                incoming[src] = incoming[src] + s_kept
-            else:
-                incoming[src] = s_kept.copy()
-            if not entry.mask.all():
-                if net.layers[src].kind not in PRUNABLE_KINDS:
-                    raise ConfigError(
-                        "skip edge (%d, %d): pruning the merge needs a prunable source layer"
-                        % (src, layer_id)
-                    )
-                if src in forced_masks and not np.array_equal(forced_masks[src], entry.mask):
-                    raise ConfigError(
-                        "layer %d sits on two skip edges that demand different masks" % src
-                    )
-                forced_masks[src] = entry.mask
-
+        s_kept = s * picker.pick(layer_id, s).mask
+        receivers = [(src, s_kept) for src in picker.sources.get(layer_id, ())]
         if layer_id > 0:
-            down = _propagate_through(net.layers[layer_id], s_kept)
-            if layer_id - 1 in incoming:
-                incoming[layer_id - 1] = incoming[layer_id - 1] + down
-            else:
-                incoming[layer_id - 1] = down
+            receivers.append((layer_id - 1, _propagate_through(net.layers[layer_id], s_kept)))
+        for below, contribution in receivers:
+            incoming[below] = incoming[below] + contribution if below in incoming else contribution
+    return picker.plan()
 
-    ordered = {lid: entries[lid] for lid in sorted(entries)}
-    return ImportancePlan(entries=ordered)
+
+def plan_from_layer_scores(net: Network, cfg: PruneConfig, scores_by_layer: dict) -> ImportancePlan:
+    """Keep masks from independent per-layer scores; nothing propagates.
+
+    The layer-local baselines pick their masks by the same policy and skip
+    sharing as nisp_backward, from the highest listed layer downward.
+    """
+    picker = _MaskPicker(net, cfg)
+    shapes = output_shapes(net)
+    for layer_id in sorted(scores_by_layer, reverse=True):
+        scores = np.asarray(scores_by_layer[layer_id], dtype=float).ravel()
+        if scores.shape[0] != shape_size(shapes[layer_id]):
+            raise ShapeError(
+                "scores for layer %d have %d entries, expected %d"
+                % (layer_id, scores.shape[0], shape_size(shapes[layer_id]))
+            )
+        picker.pick(layer_id, scores)
+    return picker.plan()
 
 
 def importance_closed_form(net: Network, s_n: np.ndarray, layer_id: int) -> np.ndarray:

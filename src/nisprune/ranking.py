@@ -32,13 +32,14 @@ class AffinityGraph:
     alpha: float
 
 
-def spectral_radius(a: np.ndarray, tol: float = 1e-13, max_iter: int = 10000) -> float:
+def spectral_radius(a: np.ndarray) -> float:
     """Dominant eigenvalue magnitude of a symmetric nonnegative matrix.
 
     Plain power iteration can stall when eigenvalues come in near (+v, -v)
     pairs, so iterate on a + shift*I with shift = max absolute row sum. That
     keeps the spectrum nonnegative, making the largest eigenvalue dominant,
-    and the shift subtracts back out at the end.
+    and the shift subtracts back out at the end. Iteration stops once two
+    estimates agree to 1e-13 relative, or after 10000 steps.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -48,14 +49,14 @@ def spectral_radius(a: np.ndarray, tol: float = 1e-13, max_iter: int = 10000) ->
     b = a + shift * np.eye(n)
     v = np.full(n, 1.0 / np.sqrt(n))
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(10000):
         w = b @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         lam = float(v @ (b @ v))
-        if abs(lam - prev) <= tol * max(1.0, abs(lam)):
+        if abs(lam - prev) <= 1e-13 * max(1.0, abs(lam)):
             break
         prev = lam
     return max(lam - shift, 0.0)

@@ -22,10 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .model import (
     Network,
-    PRUNABLE_KINDS,
     layer_params,
     output_shapes,
     prunable_layer_ids,
@@ -36,11 +35,8 @@ from .propagation import (
     ImportancePlan,
     PlanEntry,
     PruneConfig,
-    channel_scores,
-    check_ratios,
-    keep_count,
     nisp_backward,
-    prune_indicator,
+    plan_from_layer_scores,
 )
 from . import engine, ranking
 
@@ -196,66 +192,6 @@ def apply_plan(net: Network, plan: ImportancePlan):
 # ---------------------------------------------------------------------------
 # plan builders
 
-def _plan_from_layer_scores(net: Network, cfg: PruneConfig, scores_by_layer: dict) -> ImportancePlan:
-    """Turn independent per-layer scores into masks, honoring skip sharing.
-
-    Walks from the FRL downward so a merge layer's mask is fixed before its
-    skip source needs one; the source then reuses it, keeping both ends of
-    the edge the same width.
-    """
-    check_ratios(net, cfg)
-    shapes = output_shapes(net)
-    merge_sources = {}
-    for src, dst in net.skip_edges:
-        if dst <= net.frl_index:
-            merge_sources.setdefault(dst, []).append(src)
-
-    forced = {}
-    entries = {}
-    for layer_id in sorted(scores_by_layer, reverse=True):
-        layer = net.layers[layer_id]
-        scores = np.asarray(scores_by_layer[layer_id], dtype=float).ravel()
-        if scores.shape[0] != shape_size(shapes[layer_id]):
-            raise ShapeError(
-                "scores for layer %d have %d entries, expected %d"
-                % (layer_id, scores.shape[0], shape_size(shapes[layer_id]))
-            )
-        fraction = cfg.ratios.get(layer_id, 1.0)
-        if layer.kind == "Conv2D":
-            g = layer.geometry
-            ch = channel_scores(scores.reshape(g.c_out, g.y, g.y))
-            if layer_id in forced:
-                mask = forced[layer_id]
-            else:
-                mask = np.repeat(
-                    prune_indicator(ch, keep_count(g.c_out, fraction)).astype(np.uint8),
-                    g.y * g.y,
-                )
-            entries[layer_id] = PlanEntry(layer_id, scores, mask, ch)
-        else:
-            if layer_id in forced:
-                mask = forced[layer_id]
-            else:
-                mask = prune_indicator(scores, keep_count(scores.shape[0], fraction))
-            entries[layer_id] = PlanEntry(layer_id, scores, mask, None)
-
-        mask = entries[layer_id].mask
-        for src in merge_sources.get(layer_id, ()):
-            if net.layers[src].kind not in PRUNABLE_KINDS:
-                if not mask.all():
-                    raise ConfigError(
-                        "skip edge (%d, %d): pruning the merge needs a prunable source layer"
-                        % (src, layer_id)
-                    )
-                continue
-            if src in forced and not np.array_equal(forced[src], mask):
-                raise ConfigError("layer %d sits on two skip edges that demand different masks" % src)
-            forced[src] = mask
-
-    ordered = {lid: entries[lid] for lid in sorted(entries)}
-    return ImportancePlan(entries=ordered)
-
-
 def nisp_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5) -> ImportancePlan:
     """Affinity-rank the final responses, then propagate backward."""
     resp = engine.batch_responses(net, inputs, net.frl_index)
@@ -272,7 +208,7 @@ def magnitude_plan(net: Network, cfg: PruneConfig) -> ImportancePlan:
 def lbl_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5) -> ImportancePlan:
     """Rank every prunable layer independently; nothing propagates."""
     scores = ranking.per_layer_scores(net, inputs, alpha)
-    return _plan_from_layer_scores(net, cfg, scores)
+    return plan_from_layer_scores(net, cfg, scores)
 
 
 def random_plan(net: Network, cfg: PruneConfig, seed: int) -> ImportancePlan:
@@ -292,7 +228,7 @@ def random_plan(net: Network, cfg: PruneConfig, seed: int) -> ImportancePlan:
             scores[layer_id] = np.repeat(rng.random(g.c_out), g.y * g.y)
         else:
             scores[layer_id] = rng.random(shape_size(shapes[layer_id]))
-    plan = _plan_from_layer_scores(net, cfg, scores)
+    plan = plan_from_layer_scores(net, cfg, scores)
     entries = {}
     for layer_id, entry in plan.entries.items():
         ch = None

@@ -74,6 +74,75 @@ def conv_forward_brute(layer, x):
     return engine.apply_activation(layer.activation, out)
 
 
+# The window loops the library used before its window_index table, kept as
+# references for the exact summation order: the table-based kernels must
+# match them byte for byte, not just to a tolerance.
+
+def pool_forward_loop(layer, x):
+    """Pooling over a (n, c, x, x) batch, one output position at a time."""
+    g = layer.geometry
+    xp = np.pad(x, ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
+    reduce = np.max if layer.pool_mode == "max" else np.mean
+    out = np.empty((len(x), g.c_out, g.y, g.y))
+    for i in range(g.y):
+        for j in range(g.y):
+            out[:, :, i, j] = reduce(xp[:, :, i * g.s : i * g.s + g.k, j * g.s : j * g.s + g.k], axis=(2, 3))
+    return out
+
+
+def propagate_conv_loop(kernel, g, s_out):
+    absk = np.abs(np.asarray(kernel, dtype=float))
+    acc = np.zeros((g.c_in, g.x + 2 * g.p, g.x + 2 * g.p))
+    for yr in range(g.y):
+        for yc in range(g.y):
+            contrib = np.einsum("abnf,f->nab", absk, s_out[:, yr, yc])
+            acc[:, yr * g.s : yr * g.s + g.k, yc * g.s : yc * g.s + g.k] += contrib
+    return acc[:, g.p : g.p + g.x, g.p : g.p + g.x]
+
+
+def propagate_pool_loop(g, s_out):
+    share = s_out / float(g.k * g.k)
+    acc = np.zeros((g.c_in, g.x + 2 * g.p, g.x + 2 * g.p))
+    for yr in range(g.y):
+        for yc in range(g.y):
+            acc[:, yr * g.s : yr * g.s + g.k, yc * g.s : yc * g.s + g.k] += share[:, yr : yr + 1, yc : yc + 1]
+    return acc[:, g.p : g.p + g.x, g.p : g.p + g.x]
+
+
+def _window_cells(g):
+    """(output position, a, b, flat input index) of every window cell inside the grid."""
+    for yr in range(g.y):
+        for yc in range(g.y):
+            for a in range(g.k):
+                xr = yr * g.s + a - g.p
+                if not 0 <= xr < g.x:
+                    continue
+                for b in range(g.k):
+                    xc = yc * g.s + b - g.p
+                    if 0 <= xc < g.x:
+                        yield yr * g.y + yc, a, b, xr * g.x + xc
+
+
+def bp_conv_matrix_loop(kernel, g):
+    kernel = np.asarray(kernel, dtype=float)
+    y2, x2 = g.y * g.y, g.x * g.x
+    bp = np.zeros((g.c_out * y2, g.c_in * x2))
+    cols = np.arange(g.c_in) * x2
+    for f in range(g.c_out):
+        for pos, a, b, flat in _window_cells(g):
+            bp[f * y2 + pos, cols + flat] = np.abs(kernel[a, b, :, f])
+    return bp
+
+
+def bp_pool_matrix_loop(g):
+    y2, x2 = g.y * g.y, g.x * g.x
+    bp = np.zeros((g.c_out * y2, g.c_in * x2))
+    for c in range(g.c_out):
+        for pos, _, _, flat in _window_cells(g):
+            bp[c * y2 + pos, c * x2 + flat] = 1.0 / float(g.k * g.k)
+    return bp
+
+
 def series_scores(a, r, terms=200):
     """Row sums of sum_{l=1..terms} (rA)^l, the truncated path-weight series."""
     n = a.shape[0]

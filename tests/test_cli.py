@@ -70,6 +70,21 @@ def test_rank_pca_guidance_prints(workspace, capsys):
     assert printed.count("layer") >= 2
 
 
+def test_rank_pca_threshold_runs_one_forward(workspace, monkeypatch):
+    calls = []
+    real = engine.batch_forward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "batch_forward", counting)
+    code = run(["rank", "--model", workspace["model"], "--data", workspace["csv"],
+                "--out", workspace["out"], "--pca-threshold", "0.9"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 # --- prune -----------------------------------------------------------------------
 
 def test_prune_keep_all_reproduces_the_model(workspace):
@@ -149,6 +164,24 @@ def test_prune_ratio_overrides_global(workspace):
     pruned = read_model(os.path.join(workspace["out"], "pruned_model.json"))
     assert pruned.layers[0].weights.shape[0] == 2
     assert pruned.layers[1].weights.shape[0] == 6
+
+
+@pytest.mark.parametrize("strategy", ["nisp", "lbl", "random"])
+def test_prune_skip_source_with_conflicting_merges_exits_2(tmp_path, strategy):
+    # Layer 0 feeds merges 2 and 3; pruning only 2 asks layer 0 for two
+    # different masks, which every strategy rejects as a config error.
+    rng = np.random.default_rng(31)
+    layers = tuple(factories.dense_layer(rng, 4, 4, activation="ReLU") for _ in range(4))
+    net = Network(layers=layers + (factories.dense_layer(rng, 3, 4),), frl_index=3, skip_edges=((0, 2), (0, 3)))
+    model_path = str(tmp_path / "skip.json")
+    write_model(net, model_path)
+    data_path = str(tmp_path / "skip.csv")
+    save_dataset(Dataset(inputs=rng.standard_normal((12, 4))), data_path)
+    out = str(tmp_path / "out")
+    code = run(["prune", "--model", model_path, "--data", data_path, "--out", out,
+                "--strategy", strategy, "--ratio", "2=0.5"])
+    assert code == 2
+    assert not os.path.exists(out) or os.listdir(out) == []
 
 
 # --- compare -----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from nisprune.model import (
     prunable_layer_ids,
     save_model,
     validate,
+    window_index,
 )
 from nisprune import engine
 
@@ -54,6 +55,15 @@ def test_validate_collects_geometry_violation():
     report = validate(net)
     assert not report.ok
     assert any("does not match" in msg for _, msg in report.violations)
+
+
+def test_window_index_hand_values():
+    # 3x3 input, 2x2 windows at stride 2 with one ring of padding: 9 marks
+    # a padded position.
+    g = Geometry(x=3, y=2, k=2, s=2, p=1, c_in=1, c_out=1)
+    assert window_index(g).tolist() == [[9, 9, 9, 0], [9, 9, 1, 2], [9, 3, 9, 6], [4, 5, 7, 8]]
+    whole = Geometry(x=2, y=1, k=2, s=1, p=0, c_in=1, c_out=1)
+    assert window_index(whole).tolist() == [[0, 1, 2, 3]]
 
 
 def test_validate_rejects_nan_and_even_lrn_and_bad_bn():

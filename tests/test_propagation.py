@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import factories
 import oracles
+from nisprune import engine
 from nisprune.errors import ConfigError, ModelFormatError, ShapeError
 from nisprune.model import Geometry, Layer, Network
 from nisprune.propagation import (
@@ -135,6 +136,55 @@ def test_bp_matrices_are_nonnegative():
     assert np.all(bp_conv_matrix(kernel, g) >= 0)
     pg = factories.random_pool_geometry(rng, 2)
     assert np.all(bp_pool_matrix(pg) >= 0)
+
+
+def _wide_values(rng, shape):
+    # Both signs over exponents e-30..e30, with zeros of both signs.
+    v = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    u = rng.random(shape)
+    v[u < 0.15] = 0.0
+    v[u > 0.85] = -0.0
+    return v
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_kernels_match_loop_references_bytewise(k, s, data, seed, batch):
+    # The window_index kernels must sum in the loops' order, down to the
+    # last bit and the sign of a zero: CLI outputs depend on it.
+    p = data.draw(st.integers(0, k - 1))
+    x = data.draw(st.integers(max(1, k - 2 * p), 7))
+    y = (x + 2 * p - k) // s + 1
+    rng = np.random.default_rng(seed)
+    c_in, c_out = (int(v) for v in rng.integers(1, 4, 2))
+    g = Geometry(x=x, y=y, k=k, s=s, p=p, c_in=c_in, c_out=c_out)
+    pg = Geometry(x=x, y=y, k=k, s=s, p=p, c_in=c_in, c_out=c_in)
+
+    kernel = _wide_values(rng, (k, k, c_in, c_out))
+    s_conv = np.abs(_wide_values(rng, (c_out, y, y)))
+    s_pool = np.abs(_wide_values(rng, (c_in, y, y)))
+    s_conv[rng.random(s_conv.shape) < 0.1] = -0.0
+    s_pool[rng.random(s_pool.shape) < 0.1] = -0.0
+    assert _same_bytes(propagate_conv(kernel, g, s_conv), oracles.propagate_conv_loop(kernel, g, s_conv))
+    assert _same_bytes(propagate_pool(pg, s_pool), oracles.propagate_pool_loop(pg, s_pool))
+    assert _same_bytes(bp_conv_matrix(kernel, g), oracles.bp_conv_matrix_loop(kernel, g))
+    assert _same_bytes(bp_pool_matrix(pg), oracles.bp_pool_matrix_loop(pg))
+
+    xs = _wide_values(rng, (batch, c_in, x, x))
+    for mode in ("max", "avg"):
+        layer = Layer(kind="Pool2D", geometry=pg, pool_mode=mode)
+        got = engine.batch_forward(Network(layers=(layer,), frl_index=0), xs)[-1]
+        assert _same_bytes(got, oracles.pool_forward_loop(layer, xs))
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
