@@ -299,8 +299,8 @@ class _MaskPicker:
     Layers are picked from the final response layer downward, so a merge
     layer's mask is fixed before its skip sources need one. Both ends of a
     skip edge must keep the same neuron set for surgery to stay
-    shape-consistent, so each merge forces its mask onto its sources. Edges
-    that touch the classifier head play no part.
+    shape-consistent, so each prunable merge forces its mask onto its
+    sources. Edges that touch the classifier head play no part.
     """
 
     def __init__(self, net: Network, cfg: PruneConfig):
@@ -336,7 +336,10 @@ class _MaskPicker:
         else:
             mask = prune_indicator(s, keep_count(s.shape[0], fraction))
 
-        for src in self.sources.get(layer_id, ()):
+        # Only a prunable merge forces its mask: any other merge keeps
+        # everything here, while surgery hands it the mask of the layer below.
+        forced_sources = self.sources.get(layer_id, ()) if layer.kind in PRUNABLE_KINDS else ()
+        for src in forced_sources:
             if self.net.layers[src].kind not in PRUNABLE_KINDS:
                 if not mask.all():
                     raise ConfigError(

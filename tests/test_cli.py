@@ -184,6 +184,33 @@ def test_prune_skip_source_with_conflicting_merges_exits_2(tmp_path, strategy):
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("strategy", ["nisp", "lbl", "random"])
+def test_prune_skip_source_under_activation_merge_takes_dense_mask(tmp_path, strategy):
+    # Layer 0 feeds a dense merge (2) and an activation merge (3). Only the
+    # dense merge forces its mask; the activation inherits that same mask
+    # in surgery, so the plan is consistent and the prune succeeds.
+    rng = np.random.default_rng(37)
+    layers = tuple(factories.dense_layer(rng, 4, 4, activation="ReLU") for _ in range(3))
+    layers += (Layer(kind="Activation", activation="Tanh"), factories.dense_layer(rng, 4, 4),
+               factories.dense_layer(rng, 3, 4))
+    net = Network(layers=layers, frl_index=4, skip_edges=((0, 2), (0, 3)))
+    model_path = str(tmp_path / "skip.json")
+    write_model(net, model_path)
+    data_path = str(tmp_path / "skip.csv")
+    save_dataset(Dataset(inputs=rng.standard_normal((12, 4))), data_path)
+    out = str(tmp_path / "out")
+    code = run(["prune", "--model", model_path, "--data", data_path, "--out", out,
+                "--strategy", strategy, "--ratio", "2=0.5"])
+    assert code == 0
+    with open(os.path.join(out, "plan.json"), "rb") as fh:
+        plan = plan_from_json(fh.read())
+    assert plan.entries[2].mask.sum() == 2
+    assert np.array_equal(plan.entries[0].mask, plan.entries[2].mask)
+    pruned = read_model(os.path.join(out, "pruned_model.json"))
+    assert pruned.layers[0].weights.shape[0] == 2
+    assert pruned.layers[2].weights.shape[0] == 2
+
+
 # --- compare -----------------------------------------------------------------------
 
 def test_compare_single_strategy_single_seed(workspace):

@@ -151,22 +151,9 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@given(
-    st.integers(1, 5),
-    st.integers(1, 3),
-    st.data(),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1]),
-)
-@settings(max_examples=60, deadline=None)
-def test_window_kernels_match_loop_references_bytewise(k, s, data, seed, batch):
-    # The window_index kernels must sum in the loops' order, down to the
-    # last bit and the sign of a zero: CLI outputs depend on it.
-    p = data.draw(st.integers(0, k - 1))
-    x = data.draw(st.integers(max(1, k - 2 * p), 7))
+def _check_window_kernels(k, s, p, x, c_in, c_out, seed, batch):
     y = (x + 2 * p - k) // s + 1
     rng = np.random.default_rng(seed)
-    c_in, c_out = (int(v) for v in rng.integers(1, 4, 2))
     g = Geometry(x=x, y=y, k=k, s=s, p=p, c_in=c_in, c_out=c_out)
     pg = Geometry(x=x, y=y, k=k, s=s, p=p, c_in=c_in, c_out=c_in)
 
@@ -185,6 +172,36 @@ def test_window_kernels_match_loop_references_bytewise(k, s, data, seed, batch):
         layer = Layer(kind="Pool2D", geometry=pg, pool_mode=mode)
         got = engine.batch_forward(Network(layers=(layer,), frl_index=0), xs)[-1]
         assert _same_bytes(got, oracles.pool_forward_loop(layer, xs))
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_kernels_match_loop_references_bytewise(k, s, data, seed, batch):
+    # The window_index kernels must sum in the loops' order, down to the
+    # last bit and the sign of a zero: CLI outputs depend on it. Channel
+    # counts reach past 8, where numpy's reductions switch to unrolled and
+    # SIMD kernels.
+    p = data.draw(st.integers(0, k - 1))
+    x = data.draw(st.integers(max(1, k - 2 * p), 7))
+    c_in = data.draw(st.integers(1, 17))
+    c_out = data.draw(st.integers(1, 17))
+    _check_window_kernels(k, s, p, x, c_in, c_out, seed, batch)
+
+
+@pytest.mark.parametrize("k,s,p,x,c_in,c_out", [
+    (3, 1, 1, 1, 8, 16),   # one output position, reductions of 8 and 16
+    (5, 2, 0, 5, 16, 50),  # one output position, the widest bench channels
+    (3, 1, 1, 6, 16, 32),
+    (2, 2, 0, 8, 50, 9),
+])
+def test_window_kernels_match_loop_references_at_bench_widths(k, s, p, x, c_in, c_out):
+    _check_window_kernels(k, s, p, x, c_in, c_out, seed=7, batch=engine.SAMPLE_BLOCK + 1)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
