@@ -336,8 +336,7 @@ class _MaskPicker:
         else:
             mask = prune_indicator(s, keep_count(s.shape[0], fraction))
 
-        # Only a prunable merge forces its mask: any other merge keeps
-        # everything here, while surgery hands it the mask of the layer below.
+        # Any other merge keeps all here but inherits the mask below in surgery.
         forced_sources = self.sources.get(layer_id, ()) if layer.kind in PRUNABLE_KINDS else ()
         for src in forced_sources:
             if self.net.layers[src].kind not in PRUNABLE_KINDS:
