@@ -19,7 +19,7 @@ from nisprune.model import Layer, Network
 from nisprune.propagation import PruneConfig, nisp_backward
 from nisprune.ranking import build_affinity, inffs_scores
 from nisprune.surgery import apply_plan, lbl_plan
-from nisprune.analysis import ware
+from nisprune.analysis import ware_of_responses
 
 
 def uneven_layer(rng, out_dim, in_dim, activation, sigma, scale=1.0, shift=0.0):
@@ -64,6 +64,18 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="write raw rows to this CSV")
     args = ap.parse_args(argv)
 
+    # One forward and one ranking of each (depth, seed) net serve every keep
+    # fraction.
+    cases = {}
+    for depth in args.depths:
+        for seed in range(args.seeds):
+            rng = np.random.default_rng(args.seed_base * depth + seed)
+            net = uneven_net(rng, depth, args.width, args.dim, args.outputs, args.sigma)
+            xs = rng.standard_normal((args.samples, args.dim))
+            trace = engine.batch_forward(net, xs, 0, net.frl_index)
+            resp = engine.flatten_responses(trace[-1])
+            cases[depth, seed] = net, xs, trace, resp, inffs_scores(build_affinity(resp, args.alpha))
+
     rows = []
     for keep in args.keeps:
         print("keep fraction %.2f" % keep)
@@ -71,18 +83,15 @@ def main(argv=None):
             wins = 0
             gap_sum = 0.0
             for seed in range(args.seeds):
-                rng = np.random.default_rng(args.seed_base * depth + seed)
-                net = uneven_net(rng, depth, args.width, args.dim, args.outputs, args.sigma)
-                xs = rng.standard_normal((args.samples, args.dim))
-                resp = engine.batch_responses(net, xs, net.frl_index)
-                s_n = inffs_scores(build_affinity(resp, args.alpha))
+                net, xs, trace, resp, s_n = cases[depth, seed]
                 cfg = PruneConfig(ratios={i: keep for i in range(depth)})
                 guided = nisp_backward(net, s_n, cfg)
-                local = lbl_plan(net, xs, cfg, alpha=args.alpha)
-                g_net, _ = apply_plan(net, guided)
-                l_net, _ = apply_plan(net, local)
-                w_g = ware(net, g_net, xs, s_n, guided.mask(net.frl_index))
-                w_l = ware(net, l_net, xs, s_n, local.mask(net.frl_index))
+                local = lbl_plan(net, xs, cfg, alpha=args.alpha, trace=trace)
+                w_g, w_l = [
+                    ware_of_responses(resp, engine.batch_responses(apply_plan(net, plan)[0], xs, net.frl_index),
+                                      s_n, plan.mask(net.frl_index))
+                    for plan in (guided, local)
+                ]
                 wins += w_g <= w_l
                 gap_sum += w_l - w_g
                 rows.append({"keep": keep, "depth": depth, "seed": seed,

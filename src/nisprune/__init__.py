@@ -33,6 +33,7 @@ from .propagation import (
     ImportancePlan,
     PlanEntry,
     PruneConfig,
+    effective_masks,
     importance_closed_form,
     nisp_backward,
     plan_from_json,
@@ -41,7 +42,6 @@ from .propagation import (
 from .surgery import (
     SurgeryReport,
     apply_plan,
-    effective_masks,
     lbl_plan,
     magnitude_plan,
     nisp_plan,

@@ -20,18 +20,19 @@ from .propagation import bp_matrix
 _EPS = 1e-12
 
 
-def ware(orig: Network, pruned: Network, inputs, s_n, kept_mask) -> float:
+def ware_of_responses(orig_resp, pruned_resp, s_n, kept_mask) -> float:
     """Importance-weighted mean relative error of the retained final responses.
 
-    For each sample and each retained neuron i the error is
-    s_n[i] * |y_pruned - y_orig| / max(|y_orig|, 1e-12), averaged over samples
-    and retained neurons. The pruned network's final responses are matched to
+    ``orig_resp`` and ``pruned_resp`` hold one flattened final response per
+    sample (rows of ``engine.batch_responses``) of the original and the pruned
+    network on the same inputs. For each sample and each retained neuron i
+    the error is s_n[i] * |y_pruned - y_orig| / max(|y_orig|, 1e-12), averaged
+    over samples and retained neurons. The pruned responses are matched to
     the original's either positionally (same width) or by the kept index set
     (width equal to the number of kept neurons).
     """
     s_n = np.asarray(s_n, dtype=float).ravel()
     kept_mask = np.asarray(kept_mask).ravel()
-    orig_resp = engine.batch_responses(orig, inputs, orig.frl_index)
     if s_n.shape[0] != orig_resp.shape[1] or kept_mask.shape[0] != orig_resp.shape[1]:
         raise ShapeError(
             "importance and mask must cover the %d final responses" % orig_resp.shape[1]
@@ -39,8 +40,10 @@ def ware(orig: Network, pruned: Network, inputs, s_n, kept_mask) -> float:
     kept = np.flatnonzero(kept_mask)
     if kept.size == 0:
         raise ConfigError("mask keeps no neurons at the final response layer")
+    if pruned_resp.shape[0] != orig_resp.shape[0]:
+        raise ShapeError("%d pruned response rows against %d original ones"
+                         % (pruned_resp.shape[0], orig_resp.shape[0]))
 
-    pruned_resp = engine.batch_responses(pruned, inputs, pruned.frl_index)
     if pruned_resp.shape[1] == orig_resp.shape[1]:
         matched = pruned_resp[:, kept]
     elif pruned_resp.shape[1] == kept.size:
@@ -54,6 +57,16 @@ def ware(orig: Network, pruned: Network, inputs, s_n, kept_mask) -> float:
     ref = orig_resp[:, kept]
     rel = np.abs(matched - ref) / np.maximum(np.abs(ref), _EPS)
     return float((rel * s_n[kept]).sum() / (rel.shape[0] * kept.size))
+
+
+def ware(orig: Network, pruned: Network, inputs, s_n, kept_mask) -> float:
+    """``ware_of_responses`` of both networks' final responses on ``inputs``."""
+    return ware_of_responses(
+        engine.batch_responses(orig, inputs, orig.frl_index),
+        engine.batch_responses(pruned, inputs, pruned.frl_index),
+        s_n,
+        kept_mask,
+    )
 
 
 @dataclass

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--out", required=out_required, help="output directory")
         p.add_argument("--alpha", type=float, default=0.5, help="affinity mixing weight")
-        p.add_argument("--seed", type=int, action="append", help="rng seed (repeatable where it makes sense)")
+        p.add_argument("--seed", type=int, action="append", help="rng seed (repeatable for compare)")
 
     p_rank = sub.add_parser("rank", help="score the final response layer")
     common(p_rank)
@@ -124,6 +124,8 @@ def _config_from_args(args) -> ExperimentConfig:
         strategies = (strategies,)
     else:
         strategies = tuple(dict.fromkeys(strategies))
+    if args.command in ("prune", "verify") and args.seed and len(args.seed) > 1:
+        raise ConfigError("%s takes one --seed, got %d" % (args.command, len(args.seed)))
     return ExperimentConfig(
         model=args.model,
         data=args.data,
@@ -163,13 +165,13 @@ def _frl_scores(frl_responses: np.ndarray, alpha: float) -> np.ndarray:
     return ranking.inffs_scores(ranking.build_affinity(frl_responses, alpha))
 
 
-def _build_plan(net, data, pc, strategy, alpha, seed) -> ImportancePlan:
+def _build_plan(net, data, pc, strategy, alpha, seed, trace=None) -> ImportancePlan:
     if strategy == "nisp":
-        return surgery.nisp_plan(net, data.inputs, pc, alpha)
+        return surgery.nisp_plan(net, data.inputs, pc, alpha, trace=trace)
     if strategy == "nisp-mag":
         return surgery.magnitude_plan(net, pc)
     if strategy == "lbl":
-        return surgery.lbl_plan(net, data.inputs, pc, alpha)
+        return surgery.lbl_plan(net, data.inputs, pc, alpha, trace=trace)
     if strategy == "random":
         return surgery.random_plan(net, pc, seed)
     raise ConfigError("strategy %r does not produce a pruning plan" % strategy)
@@ -221,9 +223,19 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     trainer.check_trainable(net)
     pc = _prune_config(net, cfg)
     frl = net.frl_index
+    # One trace of the original net feeds the nisp and lbl rankings, every
+    # row's ware and every row's top-1 agreement.
+    trace = engine.batch_forward(net, data.inputs)
+    orig_frl = engine.flatten_responses(trace[frl + 1])
+    orig_out = engine.flatten_responses(trace[-1])
 
     rows = []
     for strategy in cfg.strategies:
+        # Only random and scratch draw from the seed; the other plans are
+        # built once for every seed.
+        shared = None
+        if strategy not in ("random", "scratch"):
+            shared = _build_plan(net, data, pc, strategy, cfg.alpha, None, trace=trace)
         for seed in cfg.seeds:
             train_cfg = trainer.TrainConfig(
                 learning_rate=cfg.learning_rate, epochs=cfg.epochs,
@@ -235,18 +247,23 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
                 pruned = trainer.reinit(skeleton, seed)
                 tuned, _ = trainer.train(pruned, data, train_cfg)
             else:
-                plan = _build_plan(net, data, pc, strategy, cfg.alpha, seed)
+                plan = shared or _build_plan(net, data, pc, strategy, cfg.alpha, seed)
                 pruned, _ = surgery.apply_plan(net, plan)
                 tuned, _ = trainer.finetune(pruned, data, train_cfg)
+            # One forward per net serves every metric of the row.
+            pruned_trace = engine.batch_forward(pruned, data.inputs)
+            tuned_out = engine.batch_responses(tuned, data.inputs, len(tuned.layers) - 1)
             rows.append((
                 strategy,
                 seed,
-                engine.accuracy(pruned, data.inputs, data.labels),
-                engine.accuracy(tuned, data.inputs, data.labels),
-                analysis.ware(net, pruned, data.inputs, plan.scores(frl), plan.mask(frl)),
+                engine.output_accuracy(engine.flatten_responses(pruned_trace[-1]), data.labels),
+                engine.output_accuracy(tuned_out, data.labels),
+                analysis.ware_of_responses(orig_frl, engine.flatten_responses(pruned_trace[frl + 1]),
+                                           plan.scores(frl), plan.mask(frl)),
                 analysis.count_cost(pruned, reference=net).flops_reduction_pct,
-                engine.top1_agreement(net, tuned, data.inputs),
+                engine.output_agreement(orig_out, tuned_out),
             ))
+            del pruned_trace, tuned_out
 
     rows.sort(key=lambda row: (row[0], row[1]))
     lines = ["strategy,seed,pre_finetune_accuracy,post_finetune_accuracy,ware,flops_reduction_pct,top1_agreement"]

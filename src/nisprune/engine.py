@@ -230,20 +230,35 @@ def predict(net: Network, inputs) -> np.ndarray:
     return np.argmax(out, axis=1)
 
 
-def accuracy(net: Network, inputs, labels) -> float:
+def output_accuracy(outputs: np.ndarray, labels) -> float:
+    """Share of rows of a (samples x classes) output matrix whose top-1 class
+    is the label."""
     labels = np.asarray(labels)
-    if len(labels) != len(inputs):
-        raise DataError("%d samples but %d labels" % (len(inputs), len(labels)))
+    if len(labels) != len(outputs):
+        raise DataError("%d samples but %d labels" % (len(outputs), len(labels)))
     if len(labels) == 0:
         raise DataError("no samples to evaluate")
-    out = batch_responses(net, inputs, len(net.layers) - 1)
-    if labels.max() >= out.shape[1] or labels.min() < 0:
-        raise DataError("labels outside the network's %d outputs" % out.shape[1])
-    return float(np.mean(np.argmax(out, axis=1) == labels))
+    if labels.max() >= outputs.shape[1] or labels.min() < 0:
+        raise DataError("labels outside the network's %d outputs" % outputs.shape[1])
+    return float(np.mean(np.argmax(outputs, axis=1) == labels))
+
+
+def accuracy(net: Network, inputs, labels) -> float:
+    """``output_accuracy`` of the network's outputs on ``inputs``."""
+    return output_accuracy(batch_responses(net, inputs, len(net.layers) - 1), labels)
+
+
+def output_agreement(outputs_a: np.ndarray, outputs_b: np.ndarray) -> float:
+    """Fraction of rows where two (samples x classes) output matrices pick the
+    same top-1 class."""
+    if len(outputs_a) == 0:
+        raise DataError("no samples to evaluate")
+    if len(outputs_a) != len(outputs_b):
+        raise ShapeError("%d rows of outputs against %d" % (len(outputs_a), len(outputs_b)))
+    return float(np.mean(np.argmax(outputs_a, axis=1) == np.argmax(outputs_b, axis=1)))
 
 
 def top1_agreement(net_a: Network, net_b: Network, inputs) -> float:
     """Fraction of samples where two networks pick the same class."""
-    if len(inputs) == 0:
-        raise DataError("no samples to evaluate")
-    return float(np.mean(predict(net_a, inputs) == predict(net_b, inputs)))
+    last_a, last_b = len(net_a.layers) - 1, len(net_b.layers) - 1
+    return output_agreement(batch_responses(net_a, inputs, last_a), batch_responses(net_b, inputs, last_b))

@@ -269,6 +269,56 @@ def _propagate_through(layer: Layer, s_flat: np.ndarray) -> np.ndarray:
     raise ShapeError("unknown layer kind %r" % (layer.kind,))
 
 
+def channel_mask(flat_mask: np.ndarray, channels: int) -> np.ndarray:
+    """Collapse a channel-constant neuron mask to one value per channel."""
+    per = flat_mask.reshape(channels, -1)
+    if not (per == per[:, :1]).all():
+        raise ShapeError("conv mask must keep or drop whole channels")
+    return per[:, 0]
+
+
+def effective_masks(net: Network, plan: ImportancePlan) -> list:
+    """Flat keep mask over every layer's response.
+
+    Prunable layers up to the FRL take their plan mask; everything else
+    inherits from the layer below it (channel-wise across pooling). Layers
+    past the FRL always keep their own outputs.
+    """
+    shapes = output_shapes(net)
+    prunable = set(prunable_layer_ids(net))
+    for layer_id, entry in plan.entries.items():
+        if not 0 <= layer_id <= net.frl_index:
+            raise ShapeError("plan entry for layer %d is outside the prunable range" % layer_id)
+        if entry.mask.shape[0] != shape_size(shapes[layer_id]):
+            raise ShapeError(
+                "plan mask for layer %d has %d entries, expected %d"
+                % (layer_id, entry.mask.shape[0], shape_size(shapes[layer_id]))
+            )
+    missing = [i for i in prunable if i not in plan.entries]
+    if missing:
+        raise ShapeError("plan is missing prunable layers %r" % (missing,))
+
+    masks = []
+    for i, layer in enumerate(net.layers):
+        if i in prunable:
+            masks.append(plan.entries[i].mask.astype(np.uint8))
+            continue
+        below = masks[i - 1] if i > 0 else None
+        if below is None:
+            # A shape-preserving first layer reads the raw input, which is
+            # never pruned.
+            masks.append(np.ones(shape_size(shapes[i]), dtype=np.uint8))
+        elif layer.kind in ("Activation", "BatchNorm", "LRN"):
+            masks.append(below.copy())
+        elif layer.kind == "Pool2D":
+            g = layer.geometry
+            ch = channel_mask(below, g.c_in)
+            masks.append(np.repeat(ch, g.y * g.y))
+        else:  # Dense or Conv2D past the FRL: the classifier head keeps all
+            masks.append(np.ones(shape_size(shapes[i]), dtype=np.uint8))
+    return masks
+
+
 def check_ratios(net: Network, cfg: PruneConfig) -> None:
     """Reject ratios naming non-prunable layers, bad fractions, or skip sources."""
     prunable = set(prunable_layer_ids(net))
@@ -355,7 +405,22 @@ class _MaskPicker:
         return entry
 
     def plan(self) -> ImportancePlan:
-        return ImportancePlan(entries={lid: self.entries[lid] for lid in sorted(self.entries)})
+        """The picked entries, once every skip edge joins equal keep sets.
+
+        A layer that owns no neurons takes the mask below it in surgery, so
+        an edge ending or starting at one can join a pruned response to a
+        whole one even after the forcing above.
+        """
+        plan = ImportancePlan(entries={lid: self.entries[lid] for lid in sorted(self.entries)})
+        masks = effective_masks(self.net, plan)
+        for src, dst in self.net.skip_edges:
+            if not np.array_equal(masks[src], masks[dst]):
+                raise ConfigError(
+                    "skip edge (%d, %d) would join responses keeping different units (%d and %d kept); "
+                    "a layer that owns no neurons keeps the units kept below it"
+                    % (src, dst, masks[src].sum(), masks[dst].sum())
+                )
+        return plan
 
 
 def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> ImportancePlan:

@@ -35,6 +35,8 @@ from .propagation import (
     ImportancePlan,
     PlanEntry,
     PruneConfig,
+    channel_mask,
+    effective_masks,
     nisp_backward,
     plan_from_layer_scores,
 )
@@ -54,56 +56,6 @@ class SurgeryReport:
         for row in self.rows:
             lines.append("%d,%d,%d,%d,%d" % row)
         return "\n".join(lines) + "\n"
-
-
-def _channel_mask(flat_mask: np.ndarray, channels: int) -> np.ndarray:
-    """Collapse a channel-constant neuron mask to one value per channel."""
-    per = flat_mask.reshape(channels, -1)
-    if not (per == per[:, :1]).all():
-        raise ShapeError("conv mask must keep or drop whole channels")
-    return per[:, 0]
-
-
-def effective_masks(net: Network, plan: ImportancePlan) -> list:
-    """Flat keep mask over every layer's response.
-
-    Prunable layers up to the FRL take their plan mask; everything else
-    inherits from the layer below it (channel-wise across pooling). Layers
-    past the FRL always keep their own outputs.
-    """
-    shapes = output_shapes(net)
-    prunable = set(prunable_layer_ids(net))
-    for layer_id, entry in plan.entries.items():
-        if not 0 <= layer_id <= net.frl_index:
-            raise ShapeError("plan entry for layer %d is outside the prunable range" % layer_id)
-        if entry.mask.shape[0] != shape_size(shapes[layer_id]):
-            raise ShapeError(
-                "plan mask for layer %d has %d entries, expected %d"
-                % (layer_id, entry.mask.shape[0], shape_size(shapes[layer_id]))
-            )
-    missing = [i for i in prunable if i not in plan.entries]
-    if missing:
-        raise ShapeError("plan is missing prunable layers %r" % (missing,))
-
-    masks = []
-    for i, layer in enumerate(net.layers):
-        if i in prunable:
-            masks.append(plan.entries[i].mask.astype(np.uint8))
-            continue
-        below = masks[i - 1] if i > 0 else None
-        if below is None:
-            # A shape-preserving first layer reads the raw input, which is
-            # never pruned.
-            masks.append(np.ones(shape_size(shapes[i]), dtype=np.uint8))
-        elif layer.kind in ("Activation", "BatchNorm", "LRN"):
-            masks.append(below.copy())
-        elif layer.kind == "Pool2D":
-            g = layer.geometry
-            ch = _channel_mask(below, g.c_in)
-            masks.append(np.repeat(ch, g.y * g.y))
-        else:  # Dense or Conv2D past the FRL: the classifier head keeps all
-            masks.append(np.ones(shape_size(shapes[i]), dtype=np.uint8))
-    return masks
 
 
 def apply_plan(net: Network, plan: ImportancePlan):
@@ -138,11 +90,11 @@ def apply_plan(net: Network, plan: ImportancePlan):
             new = replace(layer, weights=w[keep_out].copy(), bias=b[keep_out].copy())
         elif layer.kind == "Conv2D":
             g = layer.geometry
-            ch_out = np.flatnonzero(_channel_mask(own, g.c_out))
+            ch_out = np.flatnonzero(channel_mask(own, g.c_out))
             kernel = layer.weights
             c_in = g.c_in
             if in_mask is not None:
-                ch_in = np.flatnonzero(_channel_mask(in_mask, g.c_in))
+                ch_in = np.flatnonzero(channel_mask(in_mask, g.c_in))
                 kernel = kernel[:, :, ch_in, :]
                 c_in = len(ch_in)
             new = replace(
@@ -153,13 +105,13 @@ def apply_plan(net: Network, plan: ImportancePlan):
             )
         elif layer.kind in ("Pool2D", "LRN"):
             g = layer.geometry
-            ch = int(_channel_mask(own, g.c_out).sum())
+            ch = int(channel_mask(own, g.c_out).sum())
             new = replace(layer, geometry=replace(g, c_in=ch, c_out=ch))
         elif layer.kind == "BatchNorm":
             if in_mask is None:
                 new = layer
             elif len(shapes[i - 1]) == 3:
-                ch = np.flatnonzero(_channel_mask(in_mask, shapes[i - 1][0]))
+                ch = np.flatnonzero(channel_mask(in_mask, shapes[i - 1][0]))
                 new = replace(layer, weights=layer.weights[ch].copy(), bias=layer.bias[ch].copy())
             else:
                 keep = np.flatnonzero(in_mask)
@@ -192,9 +144,16 @@ def apply_plan(net: Network, plan: ImportancePlan):
 # ---------------------------------------------------------------------------
 # plan builders
 
-def nisp_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5) -> ImportancePlan:
-    """Affinity-rank the final responses, then propagate backward."""
-    resp = engine.batch_responses(net, inputs, net.frl_index)
+def nisp_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5, trace=None) -> ImportancePlan:
+    """Affinity-rank the final responses, then propagate backward.
+
+    ``trace``, when given, must be ``engine.batch_forward(net, inputs, 0, end)``
+    for some end at or above the final response layer; it replaces the
+    forward to that layer.
+    """
+    if trace is None:
+        trace = engine.batch_forward(net, inputs, 0, net.frl_index)
+    resp = engine.flatten_responses(trace[net.frl_index + 1])
     s_n = ranking.inffs_scores(ranking.build_affinity(resp, alpha))
     return nisp_backward(net, s_n, cfg)
 
@@ -205,9 +164,12 @@ def magnitude_plan(net: Network, cfg: PruneConfig) -> ImportancePlan:
     return nisp_backward(net, s_n, cfg)
 
 
-def lbl_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5) -> ImportancePlan:
-    """Rank every prunable layer independently; nothing propagates."""
-    scores = ranking.per_layer_scores(net, inputs, alpha)
+def lbl_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5, trace=None) -> ImportancePlan:
+    """Rank every prunable layer independently; nothing propagates.
+
+    ``trace`` is passed on to ``ranking.per_layer_scores``.
+    """
+    scores = ranking.per_layer_scores(net, inputs, alpha, trace=trace)
     return plan_from_layer_scores(net, cfg, scores)
 
 
@@ -234,6 +196,6 @@ def random_plan(net: Network, cfg: PruneConfig, seed: int) -> ImportancePlan:
         ch = None
         if entry.channel_scores is not None:
             g = net.layers[layer_id].geometry
-            ch = _channel_mask(entry.mask, g.c_out).astype(float)
+            ch = channel_mask(entry.mask, g.c_out).astype(float)
         entries[layer_id] = PlanEntry(layer_id, entry.mask.astype(float), entry.mask, ch)
     return ImportancePlan(entries=entries)

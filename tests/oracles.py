@@ -288,3 +288,56 @@ def svd_components(resp, threshold):
         return 0
     ratios = np.cumsum(energy) / total
     return int(np.searchsorted(ratios, threshold - 1e-12) + 1)
+
+
+def compare_csv_reference(cfg):
+    """comparison.csv text of ``nisprune compare`` built row by row.
+
+    Every row builds its own plan, seed-independent or not, and every metric
+    runs its own forwards through ``engine.accuracy``, ``analysis.ware`` and
+    ``engine.top1_agreement``. ``cfg`` is the command's ``ExperimentConfig``.
+    """
+    from nisprune import analysis, cli, surgery, trainer
+    from nisprune.errors import DataError
+
+    net, data = cli._load(cfg)
+    if data.labels is None:
+        raise DataError("compare needs labeled data")
+    trainer.check_trainable(net)
+    pc = cli._prune_config(net, cfg)
+    frl = net.frl_index
+
+    rows = []
+    for strategy in cfg.strategies:
+        for seed in cfg.seeds:
+            train_cfg = trainer.TrainConfig(
+                learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+                batch_size=cli._BATCH_SIZE, seed=seed,
+            )
+            if strategy == "scratch":
+                plan = surgery.random_plan(net, pc, seed)
+                skeleton, _ = surgery.apply_plan(net, plan)
+                pruned = trainer.reinit(skeleton, seed)
+                tuned, _ = trainer.train(pruned, data, train_cfg)
+            else:
+                plan = cli._build_plan(net, data, pc, strategy, cfg.alpha, seed)
+                pruned, _ = surgery.apply_plan(net, plan)
+                tuned, _ = trainer.finetune(pruned, data, train_cfg)
+            rows.append((
+                strategy,
+                seed,
+                engine.accuracy(pruned, data.inputs, data.labels),
+                engine.accuracy(tuned, data.inputs, data.labels),
+                analysis.ware(net, pruned, data.inputs, plan.scores(frl), plan.mask(frl)),
+                analysis.count_cost(pruned, reference=net).flops_reduction_pct,
+                engine.top1_agreement(net, tuned, data.inputs),
+            ))
+
+    rows.sort(key=lambda row: (row[0], row[1]))
+    lines = ["strategy,seed,pre_finetune_accuracy,post_finetune_accuracy,ware,flops_reduction_pct,top1_agreement"]
+    for strategy, seed, pre, post, ware_val, flops, agree in rows:
+        lines.append("%s,%d,%s,%s,%s,%s,%s" % (
+            strategy, seed, repr(float(pre)), repr(float(post)),
+            repr(float(ware_val)), repr(float(flops)), repr(float(agree)),
+        ))
+    return "\n".join(lines) + "\n"

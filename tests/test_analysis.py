@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import factories
 from nisprune import engine
-from nisprune.analysis import BoundContext, count_cost, pca_energy, verify_bound, ware
+from nisprune.analysis import BoundContext, count_cost, pca_energy, verify_bound, ware, ware_of_responses
 from nisprune.errors import ConfigError, DataError, ShapeError
 from nisprune.model import Geometry, Layer, Network, input_shape, output_shapes, shape_size, validate
 from nisprune.propagation import PruneConfig
@@ -92,6 +92,10 @@ def test_ware_validation_errors():
         ware(net, shrunk, xs, np.ones(4), np.ones(4))  # 3 responses, 4 kept
     with pytest.raises(DataError):
         ware(net, net, np.zeros((0, 3)), np.ones(4), np.ones(4))
+    resp = engine.batch_responses(net, xs, net.frl_index)
+    assert ware_of_responses(resp, resp, np.ones(4), np.ones(4)) == 0.0
+    with pytest.raises(ShapeError):
+        ware_of_responses(resp, resp[:4], np.ones(4), np.ones(4))
 
 
 # --- pruning error bound --------------------------------------------------------

@@ -5,13 +5,24 @@ import numpy as np
 import pytest
 
 import factories
+import oracles
 from nisprune import cli, engine, ranking
 from nisprune.analysis import verify_bound
 from nisprune.datasets import Dataset, save_dataset
-from nisprune.model import Geometry, Layer, Network, load_model, read_model, save_model, write_model
+from nisprune.errors import ConfigError
+from nisprune.model import (
+    Geometry,
+    Layer,
+    Network,
+    load_model,
+    prunable_layer_ids,
+    read_model,
+    save_model,
+    write_model,
+)
 from nisprune.propagation import PruneConfig, keep_count, plan_from_json
 from nisprune.surgery import nisp_plan
-from nisprune.trainer import SynthSpec, make_mlp, synth_dataset
+from nisprune.trainer import SynthSpec, TrainConfig, make_mlp, synth_dataset, train
 
 
 @pytest.fixture
@@ -211,6 +222,42 @@ def test_prune_skip_source_under_activation_merge_takes_dense_mask(tmp_path, str
     assert pruned.layers[2].weights.shape[0] == 2
 
 
+@pytest.mark.parametrize("strategy", ["nisp", "lbl", "random"])
+def test_prune_pruned_layer_under_shape_preserving_merge_exits_2(tmp_path, strategy):
+    # Layer 2 owns no neurons and takes layer 1's mask in surgery, while its
+    # skip source, layer 0, keeps everything. Pruning layer 1 would join a
+    # 2-unit response to a 4-unit one, which planning rejects; keeping all of
+    # layer 1 stays accepted.
+    rng = np.random.default_rng(41)
+    data_path = str(tmp_path / "skip.csv")
+    save_dataset(Dataset(inputs=rng.standard_normal((12, 4))), data_path)
+    for merge in (Layer(kind="Activation", activation="Tanh"), factories.batchnorm_layer(rng, 4)):
+        layers = (factories.dense_layer(rng, 4, 4, activation="ReLU"),
+                  factories.dense_layer(rng, 4, 4, activation="ReLU"), merge,
+                  factories.dense_layer(rng, 4, 4), factories.dense_layer(rng, 3, 4))
+        net = Network(layers=layers, frl_index=3, skip_edges=((0, 2),))
+        model_path = str(tmp_path / ("skip_%s.json" % merge.kind))
+        write_model(net, model_path)
+        out = str(tmp_path / ("out_%s" % merge.kind))
+        args = ["prune", "--model", model_path, "--data", data_path, "--strategy", strategy]
+        assert run(args + ["--out", out, "--ratio", "1=0.5"]) == 2
+        assert not os.path.exists(out) or os.listdir(out) == []
+        assert run(args + ["--out", out, "--ratio", "1=1.0"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["prune", "--strategy", "random", "--ratio-all", "0.5"],
+    ["verify", "--layer", "0", "--trials", "2"],
+], ids=["prune", "verify"])
+def test_repeated_seed_exits_2_without_output(workspace, command):
+    code = run(command + ["--model", workspace["model"], "--data", workspace["csv"],
+                          "--out", workspace["out"], "--seed", "1", "--seed", "2"])
+    assert code == 2
+    assert not os.path.exists(workspace["out"])
+    assert run(command + ["--model", workspace["model"], "--data", workspace["csv"],
+                          "--out", workspace["out"], "--seed", "1"]) == 0
+
+
 # --- compare -----------------------------------------------------------------------
 
 def test_compare_single_strategy_single_seed(workspace):
@@ -266,6 +313,77 @@ def test_compare_requires_labels(workspace):
     code = run(["compare", "--model", workspace["model"], "--data", unlabeled,
                 "--out", workspace["out"], "--epochs", "1"])
     assert code == 3
+
+
+def _trained_model(tmp_path, dims, hidden_activation, seed):
+    data = synth_dataset(SynthSpec(n_classes=dims[-1], dim=dims[0], samples_per_class=15,
+                                   cluster_spread=0.6, seed=seed))
+    net, _ = train(make_mlp(dims, seed=seed, hidden_activation=hidden_activation), data,
+                   TrainConfig(learning_rate=0.1, epochs=5, batch_size=16, seed=seed))
+    model_path = str(tmp_path / ("model%d.json" % seed))
+    data_path = str(tmp_path / ("data%d.csv" % seed))
+    write_model(net, model_path)
+    save_dataset(data, data_path)
+    return model_path, data_path
+
+
+@pytest.mark.parametrize("dims, hidden_activation, seed", [
+    ([4, 8, 6, 3], "ReLU", 11),
+    ([5, 10, 8, 6, 4], "Tanh", 12),
+], ids=["relu-3-layer", "tanh-4-layer"])
+def test_compare_csv_matches_per_row_reference(tmp_path, dims, hidden_activation, seed):
+    model_path, data_path = _trained_model(tmp_path, dims, hidden_activation, seed)
+    argv = ["compare", "--model", model_path, "--data", data_path, "--out", str(tmp_path / "out"),
+            "--ratio-all", "0.5", "--epochs", "2", "--seed", "3", "--seed", "4"]
+    assert run(argv) == 0
+    with open(os.path.join(str(tmp_path / "out"), "comparison.csv")) as fh:
+        got = fh.read()
+    want = oracles.compare_csv_reference(cli._config_from_args(cli.build_parser().parse_args(argv)))
+    assert got.count("\n") == 1 + len(cli.STRATEGIES) * 2
+    assert got == want
+
+
+def test_compare_rejects_skip_edges_like_the_reference(tmp_path):
+    rng = np.random.default_rng(43)
+    net = factories.skip_dense_net(rng)
+    model_path = str(tmp_path / "skip.json")
+    write_model(net, model_path)
+    data_path = str(tmp_path / "skip.csv")
+    save_dataset(Dataset(inputs=rng.standard_normal((12, 6)), labels=rng.integers(0, 3, 12)), data_path)
+    out = str(tmp_path / "out")
+    argv = ["compare", "--model", model_path, "--data", data_path, "--out", out, "--epochs", "1",
+            "--seed", "0", "--seed", "1"]
+    with pytest.raises(ConfigError, match="skip edges"):
+        oracles.compare_csv_reference(cli._config_from_args(cli.build_parser().parse_args(argv)))
+    assert run(argv) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("seeds", [["0"], ["0", "1"]], ids=["one-seed", "two-seeds"])
+def test_compare_forwards_each_net_once_and_ranks_once(workspace, monkeypatch, seeds):
+    forwards, affinities = [], []
+    real_forward, real_affinity = engine.batch_forward, ranking.build_affinity
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(args)
+        return real_forward(*args, **kwargs)
+
+    def counting_affinity(*args, **kwargs):
+        affinities.append(args)
+        return real_affinity(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "batch_forward", counting_forward)
+    monkeypatch.setattr(ranking, "build_affinity", counting_affinity)
+    argv = ["compare", "--model", workspace["model"], "--data", workspace["csv"],
+            "--out", workspace["out"], "--ratio-all", "0.5", "--epochs", "1"]
+    for seed in seeds:
+        argv += ["--seed", seed]
+    assert run(argv) == 0
+    rows = len(cli.STRATEGIES) * len(seeds)
+    # The original net once, then one forward per pruned and per tuned net.
+    assert len(forwards) == 1 + 2 * rows
+    # nisp ranks the final responses once, lbl every prunable layer once.
+    assert len(affinities) == 1 + len(prunable_layer_ids(workspace["net"]))
 
 
 # --- verify ------------------------------------------------------------------------

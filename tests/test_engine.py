@@ -172,6 +172,11 @@ def test_accuracy_and_agreement():
         frl_index=0,
     )
     assert engine.top1_agreement(net, flipped, xs) == 0.0
+    outputs = engine.batch_responses(net, xs, 0)
+    assert engine.output_accuracy(outputs, np.array([1, 1, 0])) == pytest.approx(2 / 3)
+    assert engine.output_agreement(outputs, engine.batch_responses(flipped, xs, 0)) == 0.0
+    with pytest.raises(ShapeError):
+        engine.output_agreement(outputs, outputs[:2])
 
 
 def test_accuracy_label_validation():

@@ -6,9 +6,18 @@ import pytest
 import factories
 import oracles
 from nisprune import engine
-from nisprune.errors import ConfigError, ShapeError
-from nisprune.model import Geometry, Layer, Network, layer_params, save_model, validate
-from nisprune.propagation import ImportancePlan, PlanEntry, PruneConfig, nisp_backward
+from nisprune.errors import ConfigError, DataError, ShapeError
+from nisprune.model import (
+    Geometry,
+    Layer,
+    Network,
+    input_shape,
+    layer_params,
+    prunable_layer_ids,
+    save_model,
+    validate,
+)
+from nisprune.propagation import ImportancePlan, PlanEntry, PruneConfig, nisp_backward, plan_to_json
 from nisprune.ranking import magnitude_scores
 from nisprune.surgery import (
     apply_plan,
@@ -364,3 +373,25 @@ def test_plan_builders_respect_ratio_validation():
     ):
         with pytest.raises(ConfigError):
             build()
+
+
+def test_plans_from_a_given_trace_match_their_own_forward():
+    # A full trace past the FRL, as compare shares it, must give nisp and lbl
+    # the same plan bytes or the same error as their own forward to the FRL.
+    def outcome(build):
+        try:
+            return plan_to_json(build())
+        except (ConfigError, DataError, ShapeError) as err:
+            return type(err), str(err)
+
+    rng = np.random.default_rng(73)
+    nets = [factories.skip_dense_net(rng), factories.dense_chain(rng, [5, 9, 7, 3])]
+    nets += [factories.random_mixed_net(rng, with_skip=True) for _ in range(8)]
+    for net in nets:
+        xs = rng.standard_normal((12,) + input_shape(net))
+        sources = {src for src, _ in net.skip_edges}
+        cfg = PruneConfig(ratios={i: 0.5 for i in prunable_layer_ids(net) if i not in sources})
+        trace = engine.batch_forward(net, xs)
+        for build in (nisp_plan, lbl_plan):
+            want = outcome(lambda: build(net, xs, cfg))
+            assert outcome(lambda: build(net, xs, cfg, trace=trace)) == want
