@@ -12,7 +12,6 @@ inconsistent model/data files, 4 anything else.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .model import (
     Network,
     atomic_write_bytes,
     atomic_write_text,
+    canonical_json,
     prunable_layer_ids,
     read_model,
     save_model,
@@ -67,15 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, seeded=True):
         p.add_argument("--model", required=True, help="model JSON path")
         p.add_argument("--data", required=True, help="dataset CSV path")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--alpha", type=float, default=0.5, help="affinity mixing weight")
-        p.add_argument("--seed", type=int, action="append", help="rng seed (repeatable for compare)")
+        if seeded:
+            p.add_argument("--seed", type=int, action="append", help="rng seed (repeatable for compare)")
 
     p_rank = sub.add_parser("rank", help="score the final response layer")
-    common(p_rank)
+    common(p_rank, seeded=False)
     p_rank.add_argument("--pca-threshold", type=float, default=None,
                         help="also print per-layer component counts at this energy level")
     p_rank.set_defaults(func=cmd_rank)
@@ -124,8 +125,12 @@ def _config_from_args(args) -> ExperimentConfig:
         strategies = (strategies,)
     else:
         strategies = tuple(dict.fromkeys(strategies))
-    if args.command in ("prune", "verify") and args.seed and len(args.seed) > 1:
-        raise ConfigError("%s takes one --seed, got %d" % (args.command, len(args.seed)))
+    seeds = getattr(args, "seed", None) or []
+    if args.command in ("prune", "verify") and len(seeds) > 1:
+        raise ConfigError("%s takes one --seed, got %d" % (args.command, len(seeds)))
+    repeated = [seed for seed in seeds if seeds.count(seed) > 1]
+    if repeated:
+        raise ConfigError("--seed %d is given more than once" % repeated[0])
     return ExperimentConfig(
         model=args.model,
         data=args.data,
@@ -133,7 +138,7 @@ def _config_from_args(args) -> ExperimentConfig:
         strategies=strategies,
         ratios=ratios,
         alpha=args.alpha,
-        seeds=tuple(args.seed) if args.seed else (0,),
+        seeds=tuple(seeds) or (0,),
         epochs=getattr(args, "epochs", 0),
         learning_rate=getattr(args, "lr", 0.1),
         pca_threshold=getattr(args, "pca_threshold", None),
@@ -320,8 +325,7 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
         "slack_ratio_max": max(ratios) if ratios else None,
         "results": results,
     }
-    atomic_write_text(_out_path(cfg, "bound_report.json"),
-                      json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(_out_path(cfg, "bound_report.json"), canonical_json(doc))
 
 
 def main(argv=None) -> int:

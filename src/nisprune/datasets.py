@@ -54,7 +54,54 @@ def save_dataset(ds: Dataset, csv_path: str) -> None:
     )
 
 
-def load_dataset(csv_path: str) -> Dataset:
+def _read_plain(fh):
+    r"""(values, labels) of a CSV that needs none of csv's quoting, or None.
+
+    Read with ``newline=""``, a line holds one line end, "\n", "\r" or
+    "\r\n", at its end. Without it, a line that holds no quote and no NUL
+    splits at every comma under csv's default dialect, so ``str.split`` hands
+    ``float()`` and ``int()`` the very strings ``csv.reader`` would. Any other
+    line, and any error, returns None, and ``_read_rows`` reads the whole
+    file again, so every message stays its own. Rows are parsed as they
+    stream by, without holding the text or its field strings.
+    """
+    limit = csv.field_size_limit()
+
+    def fields_of(line):
+        line = line.rstrip("\r\n")
+        if not line or '"' in line or "\0" in line:
+            return None
+        fields = line.split(",")
+        if len(line) > limit and max(map(len, fields)) > limit:
+            return None  # csv.reader raises on a field over its size limit
+        return fields
+
+    header = fields_of(fh.readline())
+    if header is None:
+        return None
+    has_label = header[-1] == "label"
+    d = len(header) - 1 if has_label else len(header)
+    if header[:d] != ["x%d" % j for j in range(d)]:
+        return None
+    rows, texts = [], []
+    try:
+        for line in fh:
+            fields = fields_of(line)
+            if fields is None or len(fields) != len(header):
+                return None
+            rows.append(np.fromiter(map(float, fields[:d]), float, d))
+            if has_label:
+                texts.append(fields[d])
+        labels = np.array([int(text) for text in texts], dtype=int) if any(texts) else None
+    except (ValueError, OverflowError):
+        return None
+    if not rows:
+        return None
+    return np.array(rows), labels
+
+
+def _read_rows(csv_path: str):
+    """(values, labels) of any CSV through ``csv.reader``; raises DataError."""
     try:
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
@@ -95,6 +142,16 @@ def load_dataset(csv_path: str) -> Dataset:
             except (ValueError, OverflowError) as e:
                 raise DataError("%s row %d: label %r is not an integer; label every row or none"
                                 % (csv_path, i + 2, text)) from e
+    return values, labels
+
+
+def load_dataset(csv_path: str) -> Dataset:
+    try:
+        with open(csv_path, newline="") as fh:
+            parsed = _read_plain(fh)
+    except OSError as e:
+        raise DataError("cannot read %s: %s" % (csv_path, e)) from e
+    values, labels = parsed or _read_rows(csv_path)
     if not np.isfinite(values).all():
         raise DataError("%s contains non-finite values" % csv_path)
 
@@ -107,9 +164,9 @@ def load_dataset(csv_path: str) -> Dataset:
             shape = tuple(int(v) for v in manifest["input_shape"])
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise DataError("bad manifest %s: %s" % (mpath, e)) from e
-    if shape is not None and int(np.prod(shape)) != d:
-        raise DataError("manifest shape %r does not hold %d values" % (shape, d))
+    if shape is not None and int(np.prod(shape)) != values.shape[1]:
+        raise DataError("manifest shape %r does not hold %d values" % (shape, values.shape[1]))
     if shape is not None and len(shape) == 3:
-        values = values.reshape((len(rows),) + shape)
+        values = values.reshape((len(values),) + shape)
 
     return Dataset(inputs=values, labels=labels)

@@ -59,17 +59,17 @@ def unflatten_response(vec: np.ndarray, shape) -> np.ndarray:
 SAMPLE_BLOCK = 64
 
 
-def _ordered_sum(pairs) -> np.ndarray:
-    # Sum of the products a * b over (a, b) pairs, strictly first to last.
-    # Zero contributions then leave every partial sum untouched, so a pruned
+def _ordered_sum(products) -> np.ndarray:
+    # Sum of the arrays ``products`` yields, strictly first to last. Zero
+    # contributions then leave every partial sum untouched, so a pruned
     # network and the original network with masked activations produce
     # bit-identical responses. Starting from zero instead of the first
-    # product would turn a -0.0 first term into 0.0.
-    pairs = iter(pairs)
-    acc = np.multiply(*next(pairs))
-    term = np.empty_like(acc)
-    for a, b in pairs:
-        acc += np.multiply(a, b, out=term)
+    # product would turn a -0.0 first term into 0.0. The first is copied
+    # because the kernels yield every product in one reused buffer.
+    products = iter(products)
+    acc = next(products).copy()
+    for term in products:
+        acc += term
     return acc
 
 
@@ -83,11 +83,20 @@ def _dense_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     if v.shape[1] != w.shape[1]:
         raise ShapeError("dense layer expects %d inputs, got %d" % (w.shape[1], v.shape[1]))
     # Loop over the input index, vectorised over (samples x outputs).
-    w_rows = np.ascontiguousarray(w.T)
+    w_rows = np.ascontiguousarray(w.T)[:, None, :]
 
     def block(vb):
-        cols = np.ascontiguousarray(vb.T)
-        return _ordered_sum((cols[j][:, None], w_rows[j]) for j in range(len(w_rows)))
+        cols = np.ascontiguousarray(vb.T)[:, :, None]
+        # A block of at most SAMPLE_BLOCK // 2 samples multiplies `step`
+        # consecutive input terms per call, so that a call does about as much
+        # work as one on a full block; the adds stay one per term.
+        step = max(1, SAMPLE_BLOCK // len(vb))
+        terms = np.empty((step, len(vb), len(w)))
+        if step == 1:
+            return _ordered_sum(np.multiply(c, r, out=terms[0]) for c, r in zip(cols, w_rows))
+        chunks = (np.multiply(cols[j : j + step], w_rows[j : j + step], out=terms[: min(step, len(cols) - j)])
+                  for j in range(0, len(cols), step))
+        return _ordered_sum(term for chunk in chunks for term in chunk)
 
     return apply_activation(layer.activation, _by_blocks(block, v) + layer.bias)
 
@@ -108,8 +117,9 @@ def _conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 
     def block(xb):
         xp = np.pad(xb, ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
+        term = np.empty((len(xb), g.c_out, g.y, g.y))
         return _ordered_sum(
-            (xp[:, c, None, di : di + span : g.s, dj : dj + span : g.s], kern)
+            np.multiply(xp[:, c, None, di : di + span : g.s, dj : dj + span : g.s], kern, out=term)
             for (c, di, dj), kern in zip(np.ndindex(g.c_in, g.k, g.k), kern_cm)
         )
 

@@ -322,6 +322,61 @@ def prunable_layer_ids(net: Network) -> list:
 # ---------------------------------------------------------------------------
 # serialization
 
+def canonical_json(doc, allow_nan: bool = True) -> bytes:
+    """UTF-8 bytes of ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=allow_nan)`` and a newline, for a document whose keys are str.
+
+    json indents in pure Python, one call per value. Here dicts and lists of
+    containers are walked in Python, but every list of scalars goes to json's
+    C encoder in one call, with the newline and indent as item separator.
+    """
+    parts = []
+
+    def encode(value, separators=None):
+        try:
+            return json.dumps(value, allow_nan=allow_nan, separators=separators)
+        except ValueError:
+            # json's C encoder leaves the value out of some messages (an
+            # out-of-range float on Python 3.11); raise the indenting
+            # encoder's message for the same value instead.
+            json.dumps(value, allow_nan=allow_nan, indent=2)
+            raise
+
+    def put(value, indent):
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            sep = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError("keys must be str, not %s" % type(key).__name__)
+                parts.append(sep + encode(key) + ": ")
+                put(value[key], inner)
+                sep = "," + inner
+            parts.append(indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            if any(issubclass(t, (list, tuple, dict)) for t in set(map(type, value))):
+                sep = "[" + inner
+                for item in value:
+                    parts.append(sep)
+                    put(item, inner)
+                    sep = "," + inner
+            else:
+                parts.append("[" + inner + encode(value, ("," + inner, ": "))[1:-1])
+            parts.append(indent + "]")
+        else:
+            parts.append(encode(value))
+
+    put(doc, "\n")
+    parts.append("\n")
+    return "".join(parts).encode("utf-8")
+
+
 def _layer_doc(layer: Layer) -> dict:
     doc = {"kind": layer.kind}
     if layer.kind in ("Dense", "Conv2D", "Activation"):
@@ -361,7 +416,7 @@ def save_model(net: Network) -> bytes:
         "skip_edges": [[int(s), int(d)] for s, d in net.skip_edges],
         "layers": [_layer_doc(layer) for layer in net.layers],
     }
-    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    return canonical_json(doc, allow_nan=False)
 
 
 def _as_float_array(value, what: str, ndim: int) -> np.ndarray:

@@ -44,6 +44,7 @@ from .model import (
     Layer,
     Network,
     PRUNABLE_KINDS,
+    canonical_json,
     output_shapes,
     prunable_layer_ids,
     shape_size,
@@ -524,7 +525,7 @@ def plan_to_json(plan: ImportancePlan) -> bytes:
         if entry.channel_scores is not None:
             item["channel_scores"] = [float(v) for v in entry.channel_scores]
         doc["layers"].append(item)
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return canonical_json(doc)
 
 
 def plan_from_json(data) -> ImportancePlan:

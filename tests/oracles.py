@@ -6,10 +6,16 @@ by term, gradients come from finite differences, PCA goes through an SVD.
 If the library and an oracle agree, agreement is meaningful.
 """
 
+import csv
+import json
+import os
+
 import numpy as np
 
 from nisprune import engine
 from nisprune.analysis import BoundReport
+from nisprune.datasets import Dataset, manifest_path_for
+from nisprune.errors import DataError
 from nisprune.model import output_shapes
 from nisprune.propagation import bp_matrix
 
@@ -72,6 +78,18 @@ def conv_forward_brute(layer, x):
                             total += layer.weights[a, b, n, f] * padded[n, yr * g.s + a, yc * g.s + b]
                 out[f, yr, yc] = total
     return engine.apply_activation(layer.activation, out)
+
+
+def dense_forward_loop(layer, x):
+    """Dense layer over a batch with one (samples x outputs) product per input
+    index, added first to last; the first product seeds the sum. This is the
+    summation order the engine's dense kernel must reproduce byte for byte."""
+    v = np.asarray(x, dtype=float).reshape(len(x), -1)
+    w_rows = np.ascontiguousarray(layer.weights.T)
+    acc = v[:, 0][:, None] * w_rows[0]
+    for j in range(1, len(w_rows)):
+        acc += v[:, j][:, None] * w_rows[j]
+    return engine.apply_activation(layer.activation, acc + layer.bias)
 
 
 # The window loops the library used before its window_index table, kept as
@@ -341,3 +359,64 @@ def compare_csv_reference(cfg):
             repr(float(ware_val)), repr(float(flops)), repr(float(agree)),
         ))
     return "\n".join(lines) + "\n"
+
+
+def load_dataset_reference(csv_path):
+    """``datasets.load_dataset`` as it was before its streaming read: every
+    file goes through ``csv.reader`` and is held whole before parsing."""
+    try:
+        with open(csv_path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError("%s is empty" % csv_path) from None
+            rows = list(reader)
+    except OSError as e:
+        raise DataError("cannot read %s: %s" % (csv_path, e)) from e
+
+    has_label = bool(header) and header[-1] == "label"
+    d = len(header) - 1 if has_label else len(header)
+    expected = ["x%d" % j for j in range(d)]
+    if header[:d] != expected:
+        raise DataError("%s header must be x0..x%d[,label]" % (csv_path, d - 1))
+    if not rows:
+        raise DataError("%s has no data rows" % csv_path)
+
+    values = np.empty((len(rows), d))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError("%s row %d has %d fields, expected %d" % (csv_path, i + 2, len(row), len(header)))
+        try:
+            values[i] = [float(v) for v in row[:d]]
+        except ValueError as e:
+            raise DataError("%s row %d: %s" % (csv_path, i + 2, e)) from e
+
+    texts = [row[d] for row in rows] if has_label else []
+    labels = None
+    if any(texts):
+        labels = np.empty(len(rows), dtype=int)
+        for i, text in enumerate(texts):
+            try:
+                labels[i] = int(text)
+            except (ValueError, OverflowError) as e:
+                raise DataError("%s row %d: label %r is not an integer; label every row or none"
+                                % (csv_path, i + 2, text)) from e
+    if not np.isfinite(values).all():
+        raise DataError("%s contains non-finite values" % csv_path)
+
+    shape = None
+    mpath = manifest_path_for(csv_path)
+    if os.path.exists(mpath):
+        try:
+            with open(mpath) as fh:
+                manifest = json.load(fh)
+            shape = tuple(int(v) for v in manifest["input_shape"])
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise DataError("bad manifest %s: %s" % (mpath, e)) from e
+    if shape is not None and int(np.prod(shape)) != d:
+        raise DataError("manifest shape %r does not hold %d values" % (shape, d))
+    if shape is not None and len(shape) == 3:
+        values = values.reshape((len(rows),) + shape)
+
+    return Dataset(inputs=values, labels=labels)

@@ -258,6 +258,22 @@ def test_repeated_seed_exits_2_without_output(workspace, command):
                           "--out", workspace["out"], "--seed", "1"]) == 0
 
 
+def test_rank_rejects_any_seed(workspace):
+    base = ["rank", "--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"]]
+    for seeds in (["--seed", "1"], ["--seed", "1", "--seed", "2"]):
+        assert run(base + seeds) == 2
+        assert not os.path.exists(workspace["out"])
+    assert run(base) == 0
+
+
+def test_compare_rejects_a_repeated_seed(workspace):
+    base = ["compare", "--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"],
+            "--strategy", "random", "--epochs", "0"]
+    assert run(base + ["--seed", "1", "--seed", "2", "--seed", "1"]) == 2
+    assert not os.path.exists(workspace["out"])
+    assert run(base + ["--seed", "1", "--seed", "2"]) == 0
+
+
 # --- compare -----------------------------------------------------------------------
 
 def test_compare_single_strategy_single_seed(workspace):

@@ -1,6 +1,14 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from nisprune import datasets
 from nisprune.datasets import Dataset, load_dataset, manifest_path_for, save_dataset
 from nisprune.errors import DataError
 
@@ -88,3 +96,115 @@ def test_float_precision_survives(tmp_path):
     vals = np.array([[np.pi, np.e, 1e-300, -1.2345678901234567]])
     save_dataset(Dataset(inputs=vals, labels=None), path)
     assert np.array_equal(load_dataset(path).inputs, vals)
+
+
+# Field and label texts that float(), int() or csv.reader treat in some
+# special way, for the differential test against the csv.reader loop.
+ODD_FIELDS = ["1_0", "\u0661\u0662", " 2.5", "2.5 ", "nan", "-inf", "1e400", "1#2", "", "abc", "0x10",
+              "-0.0", "+7", '"3.5"', '"1,5"', '"a""b"', "\u2028", "4\x0c", "5\x85", "6\x00", "\u00a03"]
+ODD_LABELS = ["", " 2", "1.0", "\u0663", "+1", "-1", "1_0", "99999999999999999999", "x", '"1"']
+NEWLINES = ["\n", "\r\n", "\r"]
+MANIFESTS = [None, None, None, '{"input_shape": [1, 1, %d]}', '{"input_shape": [%d]}', '{"input_shape": [2, %d]}',
+             '{"input_shape": [7]}', '{"shape": [1]}', "not json"]
+
+
+@st.composite
+def mutated_csv(draw):
+    """(bytes of a CSV file, manifest text or None): a valid file with a few
+    of the mutations the loader must treat exactly as csv.reader does."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    labeled = draw(st.booleans())
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [["x%d" % j for j in range(d)] + (["label"] if labeled else [])]
+    for _ in range(n):
+        lines.append([repr(draw(floats)) for _ in range(d)] + ([str(draw(st.integers(0, 9)))] if labeled else []))
+    newline, trailing = "\n", True
+    for kind in draw(st.lists(st.sampled_from(["field", "label", "blank", "short", "extra", "header",
+                                                "newline", "no_trailing", "unlabel_all"]), max_size=3)):
+        fields = lines[draw(st.integers(1, len(lines) - 1))]
+        if kind == "field" and fields:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind == "label" and fields:
+            fields[-1] = draw(st.sampled_from(ODD_LABELS))
+        elif kind == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), [])
+        elif kind == "short":
+            del fields[-1:]
+        elif kind == "extra":
+            fields.append("0")
+        elif kind == "header":
+            lines[0][draw(st.integers(0, len(lines[0]) - 1))] = draw(st.sampled_from(["x9", "y", "label ", '"x0"']))
+        elif kind == "newline":
+            newline = draw(st.sampled_from(NEWLINES))
+        elif kind == "no_trailing":
+            trailing = False
+        elif kind == "unlabel_all" and labeled:
+            for fields in lines[1:]:
+                fields[-1:] = [""]
+    cut = draw(st.sampled_from([None, None, None, 0, 1]))  # empty file, header only
+    text = newline.join(",".join(fields) for fields in lines[:cut]) + (newline if trailing and cut != 0 else "")
+    manifest = draw(st.sampled_from(MANIFESTS))
+    return text.encode("utf-8"), (manifest % d if manifest and "%d" in manifest else manifest)
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except Exception as err:  # noqa: BLE001 - the exception itself is compared
+        return ("error", type(err), str(err))
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
+    return ("ok", ds.inputs.shape, ds.inputs.dtype, ds.inputs.tobytes(), labels)
+
+
+@given(mutated_csv())
+@settings(max_examples=100, deadline=None)
+def test_load_matches_csv_reader_loop(case):
+    # Same input bytes and labels, or the same exception type and message.
+    data, manifest = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        if manifest is not None:
+            with open(manifest_path_for(path), "w") as fh:
+                fh.write(manifest)
+        assert _outcome(load_dataset, path) == _outcome(oracles.load_dataset_reference, path)
+
+
+def test_load_matches_csv_reader_loop_on_undecodable_bytes_and_long_fields(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,label\n1.0,0\n\xff,1\n")
+    assert _outcome(load_dataset, str(bad))[0] == "error"
+    assert _outcome(load_dataset, str(bad)) == _outcome(oracles.load_dataset_reference, str(bad))
+    # csv.reader refuses a field longer than its size limit even where
+    # float() would take it.
+    long = tmp_path / "long.csv"
+    long.write_text("x0,x1\n1.5,%s\n" % ("0" * 40 + "1.5"))
+    old = csv.field_size_limit(32)
+    try:
+        outcome = _outcome(load_dataset, str(long))
+        assert outcome[:2] == ("error", csv.Error)
+        assert outcome == _outcome(oracles.load_dataset_reference, str(long))
+    finally:
+        csv.field_size_limit(old)
+    assert np.array_equal(load_dataset(str(long)).inputs, [[1.5, 1.5]])
+
+
+def test_plain_csv_is_read_without_csv_reader(tmp_path, monkeypatch):
+    path = str(tmp_path / "d.csv")
+    rng = np.random.default_rng(3)
+    save_dataset(Dataset(inputs=rng.standard_normal((5, 2, 2, 2)), labels=np.arange(5)), path)
+    want = oracles.load_dataset_reference(path)
+    calls, read_rows = [], datasets._read_rows
+    monkeypatch.setattr(datasets, "_read_rows", lambda p: calls.append(p) or read_rows(p))
+    got = load_dataset(path)
+    assert calls == []
+    assert got.inputs.tobytes() == want.inputs.tobytes() and got.inputs.shape == (5, 2, 2, 2)
+    assert np.array_equal(got.labels, want.labels)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("x1", '"x1"'))
+    load_dataset(path)
+    assert calls == [path]

@@ -214,3 +214,21 @@ def test_forward_determinism():
     b = engine.forward(net, x)
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 32, 33, 64, 65])
+def test_dense_forward_matches_one_term_loop_bytewise(rows):
+    # Small blocks multiply several input terms per call; the sum must still
+    # run first to last, down to the sign of a zero. The widths put the term
+    # chunks' ends on, before and after a chunk boundary.
+    rng = np.random.default_rng(rows)
+    for n_in, n_out in ((1, 3), (31, 5), (64, 4), (65, 7), (300, 100)):
+        w = rng.standard_normal((n_out, n_in)) * np.exp(rng.uniform(-30, 30, (n_out, n_in)))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        w[rng.random(w.shape) < 0.2] = -0.0
+        x = rng.standard_normal((rows, n_in))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+        layer = Layer(kind="Dense", weights=w, bias=rng.standard_normal(n_out), activation="Tanh")
+        got = engine.batch_forward(Network(layers=(layer,), frl_index=0), x)[-1]
+        assert got.tobytes() == oracles.dense_forward_loop(layer, x).tobytes()

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factories
 from nisprune.errors import ConfigError, ModelFormatError, ShapeError
@@ -8,6 +12,7 @@ from nisprune.model import (
     Layer,
     Network,
     atomic_write_bytes,
+    canonical_json,
     input_shape,
     layer_params,
     load_model,
@@ -239,3 +244,41 @@ def test_atomic_write_replaces_content(tmp_path):
     assert target.read_bytes() == b"two"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "f.bin"]
     assert leftovers == []
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=6),
+    st.floats(), st.floats().map(np.float64),
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.dictionaries(st.text(max_size=5), kids, max_size=5)),
+    max_leaves=12,
+)
+
+
+def _encoded(encode):
+    try:
+        return encode()
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+@given(_DOCS, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_canonical_json_matches_indented_json_dumps(doc, allow_nan):
+    # Empty, nested and mixed lists and dicts, NaN and infinities under both
+    # allow_nan settings, and non-ASCII strings: the same bytes, or the same
+    # error as json's own indenting encoder.
+    want = _encoded(lambda: (json.dumps(doc, indent=2, sort_keys=True, allow_nan=allow_nan) + "\n").encode("utf-8"))
+    assert _encoded(lambda: canonical_json(doc, allow_nan=allow_nan)) == want
+
+
+def test_canonical_json_hand_cases():
+    doc = {"b": [[], {}, [1.5, -0.0, "\u00e9"], [[2]]], "a": {"z": None, "y": [True, float("nan")]}}
+    want = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert canonical_json(doc) == want
+    with pytest.raises(ValueError, match="not JSON compliant: nan"):
+        canonical_json(doc, allow_nan=False)
+    with pytest.raises(TypeError, match="keys must be str"):
+        canonical_json({1: 2})
