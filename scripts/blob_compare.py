@@ -4,7 +4,8 @@
 For each seed: train an MLP on Gaussian blobs, prune half of each hidden
 layer with every strategy, fine-tune, and record accuracy before and after.
 Prints per-strategy win rates against the random baseline and optionally
-writes the raw rows as CSV.
+writes the raw rows as CSV. ``nisp-var`` is ``nisp`` with the variance-only
+affinity (alpha = 1); ``nisp-mag`` is the CLI's strategy of that name.
 """
 
 import argparse
@@ -20,11 +21,11 @@ from nisprune.trainer import SynthSpec, TrainConfig, finetune, make_mlp, synth_d
 def build_plan(strategy, net, inputs, cfg, alpha, seed):
     if strategy == "nisp":
         return nisp_plan(net, inputs, cfg, alpha=alpha)
-    if strategy == "nisp-mag":
+    if strategy == "nisp-var":
         return nisp_plan(net, inputs, cfg, alpha=1.0)
     if strategy == "lbl":
         return lbl_plan(net, inputs, cfg, alpha=alpha)
-    if strategy == "magnitude":
+    if strategy == "nisp-mag":
         return magnitude_plan(net, cfg)
     return random_plan(net, cfg, seed=seed)
 
@@ -45,7 +46,7 @@ def main(argv=None):
     ap.add_argument("--out", default=None, help="write raw rows to this CSV")
     args = ap.parse_args(argv)
 
-    strategies = ["nisp", "nisp-mag", "lbl", "magnitude", "random"]
+    strategies = ["nisp", "nisp-var", "lbl", "nisp-mag", "random"]
     cfg = PruneConfig(ratios={i: args.keep for i in range(len(args.hidden))})
     rows = []
     for seed in range(args.seeds):

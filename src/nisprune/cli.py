@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +33,6 @@ from .propagation import ImportancePlan, PruneConfig, keep_count, plan_to_json
 
 STRATEGIES = ("nisp", "nisp-mag", "lbl", "random", "scratch")
 _BATCH_SIZE = 32
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: str
-    data: str
-    out: str
-    strategies: tuple
-    ratios: dict
-    alpha: float
-    seeds: tuple
-    epochs: int
-    learning_rate: float
-    pca_threshold: float
-    trials: int
-    layer: int
 
 
 def _parse_ratio(text: str):
@@ -73,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--alpha", type=float, default=0.5, help="affinity mixing weight")
         if seeded:
-            p.add_argument("--seed", type=int, action="append", help="rng seed (repeatable for compare)")
+            p.add_argument("--seed", type=int, action="append", dest="seeds",
+                           help="rng seed (repeatable for compare)")
 
     p_rank = sub.add_parser("rank", help="score the final response layer")
     common(p_rank, seeded=False)
@@ -96,10 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="prune with several strategies and fine-tune")
     common(p_cmp)
     ratio_flags(p_cmp)
-    p_cmp.add_argument("--strategy", choices=STRATEGIES, action="append", default=None,
+    p_cmp.add_argument("--strategy", choices=STRATEGIES, action="append", dest="strategies",
                        help="strategy to include (repeatable; default: all)")
     p_cmp.add_argument("--epochs", type=int, default=10)
-    p_cmp.add_argument("--lr", type=float, default=0.1, help="full learning rate; fine-tuning uses a tenth")
+    p_cmp.add_argument("--lr", type=float, default=0.1, dest="learning_rate",
+                       help="full learning rate; fine-tuning uses a tenth")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="fuzz the pruning error bound at one layer")
@@ -112,57 +97,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    ratios = {}
-    if getattr(args, "ratio_all", None) is not None:
-        ratios["all"] = args.ratio_all
-    for layer_id, frac in getattr(args, "ratio", None) or ():
-        ratios[layer_id] = frac
-    strategies = getattr(args, "strategy", None)
-    if strategies is None:
-        strategies = STRATEGIES if args.command == "compare" else ("nisp",)
-    elif isinstance(strategies, str):
-        strategies = (strategies,)
-    else:
-        strategies = tuple(dict.fromkeys(strategies))
-    seeds = getattr(args, "seed", None) or []
+def _config_from_args(args):
+    """Finish the parsed namespace, which is every command's config, with the
+    checks and defaults argparse cannot express; raises ConfigError."""
+    seeds = getattr(args, "seeds", None) or []
     if args.command in ("prune", "verify") and len(seeds) > 1:
         raise ConfigError("%s takes one --seed, got %d" % (args.command, len(seeds)))
     repeated = [seed for seed in seeds if seeds.count(seed) > 1]
     if repeated:
         raise ConfigError("--seed %d is given more than once" % repeated[0])
-    return ExperimentConfig(
-        model=args.model,
-        data=args.data,
-        out=args.out,
-        strategies=strategies,
-        ratios=ratios,
-        alpha=args.alpha,
-        seeds=tuple(seeds) or (0,),
-        epochs=getattr(args, "epochs", 0),
-        learning_rate=getattr(args, "lr", 0.1),
-        pca_threshold=getattr(args, "pca_threshold", None),
-        trials=getattr(args, "trials", 0),
-        layer=getattr(args, "layer", None),
-    )
+    args.seeds = tuple(seeds) or (0,)
+    if args.command == "compare":
+        args.strategies = tuple(dict.fromkeys(args.strategies or STRATEGIES))
+    return args
 
 
-def _load(cfg: ExperimentConfig):
-    net = read_model(cfg.model)
-    data = load_dataset(cfg.data)
-    return net, data
-
-
-def _prune_config(net: Network, cfg: ExperimentConfig) -> PruneConfig:
+def _prune_config(net: Network, args) -> PruneConfig:
     """Expand --ratio-all over the prunable layers, minus skip sources."""
     sources = {src for src, _ in net.skip_edges}
     ratios = {}
-    if "all" in cfg.ratios:
-        frac = cfg.ratios["all"]
-        ratios = {i: frac for i in prunable_layer_ids(net) if i not in sources}
-    for layer_id, frac in cfg.ratios.items():
-        if layer_id != "all":
-            ratios[layer_id] = frac
+    if args.ratio_all is not None:
+        ratios = {i: args.ratio_all for i in prunable_layer_ids(net) if i not in sources}
+    for layer_id, frac in args.ratio or ():
+        ratios[layer_id] = frac
     return PruneConfig(ratios=ratios)
 
 
@@ -182,51 +139,50 @@ def _build_plan(net, data, pc, strategy, alpha, seed, trace=None) -> ImportanceP
     raise ConfigError("strategy %r does not produce a pruning plan" % strategy)
 
 
-def _out_path(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
+def _out_path(args, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
-def cmd_rank(cfg: ExperimentConfig) -> None:
-    net, data = _load(cfg)
+def cmd_rank(args) -> None:
+    net, data = read_model(args.model), load_dataset(args.data)
     # One forward serves the FRL ranking and the per-layer PCA.
     trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
-    scores = _frl_scores(engine.flatten_responses(trace[-1]), cfg.alpha)
+    scores = _frl_scores(engine.flatten_responses(trace[-1]), args.alpha)
     lines = ["neuron_index,score"]
     for i in np.argsort(-scores, kind="stable"):
         lines.append("%d,%s" % (i, repr(float(scores[i]))))
-    if cfg.pca_threshold is not None:
+    if args.pca_threshold is not None:
         for layer_id in range(net.frl_index + 1):
             resp = engine.flatten_responses(trace[layer_id + 1])
-            energy = analysis.pca_energy(resp, cfg.pca_threshold)
+            energy = analysis.pca_energy(resp, args.pca_threshold)
             note = " (degenerate)" if energy.degenerate else ""
             print("layer %d: %d of %d components reach %g energy%s"
-                  % (layer_id, energy.n_components, resp.shape[1], cfg.pca_threshold, note))
-    atomic_write_text(_out_path(cfg, "ranking.csv"), "\n".join(lines) + "\n")
+                  % (layer_id, energy.n_components, resp.shape[1], args.pca_threshold, note))
+    atomic_write_text(_out_path(args, "ranking.csv"), "\n".join(lines) + "\n")
 
 
-def cmd_prune(cfg: ExperimentConfig) -> None:
-    net, data = _load(cfg)
-    strategy = cfg.strategies[0]
-    if strategy == "scratch":
+def cmd_prune(args) -> None:
+    net, data = read_model(args.model), load_dataset(args.data)
+    if args.strategy == "scratch":
         raise ConfigError("scratch training has no pruning plan; use it with compare")
-    pc = _prune_config(net, cfg)
-    plan = _build_plan(net, data, pc, strategy, cfg.alpha, cfg.seeds[0])
+    pc = _prune_config(net, args)
+    plan = _build_plan(net, data, pc, args.strategy, args.alpha, args.seeds[0])
     pruned, report = surgery.apply_plan(net, plan)
     model_bytes = save_model(pruned)
     plan_bytes = plan_to_json(plan)
     report_text = report.to_csv()
-    atomic_write_bytes(_out_path(cfg, "pruned_model.json"), model_bytes)
-    atomic_write_bytes(_out_path(cfg, "plan.json"), plan_bytes)
-    atomic_write_text(_out_path(cfg, "surgery.csv"), report_text)
+    atomic_write_bytes(_out_path(args, "pruned_model.json"), model_bytes)
+    atomic_write_bytes(_out_path(args, "plan.json"), plan_bytes)
+    atomic_write_text(_out_path(args, "surgery.csv"), report_text)
 
 
-def cmd_compare(cfg: ExperimentConfig) -> None:
-    net, data = _load(cfg)
+def cmd_compare(args) -> None:
+    net, data = read_model(args.model), load_dataset(args.data)
     if data.labels is None:
         raise DataError("compare needs labeled data")
     trainer.check_trainable(net)
-    pc = _prune_config(net, cfg)
+    pc = _prune_config(net, args)
     frl = net.frl_index
     # One trace of the original net feeds the nisp and lbl rankings, every
     # row's ware and every row's top-1 agreement.
@@ -235,15 +191,15 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     orig_out = engine.flatten_responses(trace[-1])
 
     rows = []
-    for strategy in cfg.strategies:
+    for strategy in args.strategies:
         # Only random and scratch draw from the seed; the other plans are
         # built once for every seed.
         shared = None
         if strategy not in ("random", "scratch"):
-            shared = _build_plan(net, data, pc, strategy, cfg.alpha, None, trace=trace)
-        for seed in cfg.seeds:
+            shared = _build_plan(net, data, pc, strategy, args.alpha, None, trace=trace)
+        for seed in args.seeds:
             train_cfg = trainer.TrainConfig(
-                learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+                learning_rate=args.learning_rate, epochs=args.epochs,
                 batch_size=_BATCH_SIZE, seed=seed,
             )
             if strategy == "scratch":
@@ -252,7 +208,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
                 pruned = trainer.reinit(skeleton, seed)
                 tuned, _ = trainer.train(pruned, data, train_cfg)
             else:
-                plan = shared or _build_plan(net, data, pc, strategy, cfg.alpha, seed)
+                plan = shared or _build_plan(net, data, pc, strategy, args.alpha, seed)
                 pruned, _ = surgery.apply_plan(net, plan)
                 tuned, _ = trainer.finetune(pruned, data, train_cfg)
             # One forward per net serves every metric of the row.
@@ -277,28 +233,28 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
             strategy, seed, repr(float(pre)), repr(float(post)),
             repr(float(ware_val)), repr(float(flops)), repr(float(agree)),
         ))
-    atomic_write_text(_out_path(cfg, "comparison.csv"), "\n".join(lines) + "\n")
+    atomic_write_text(_out_path(args, "comparison.csv"), "\n".join(lines) + "\n")
 
 
-def cmd_verify(cfg: ExperimentConfig) -> None:
-    net, data = _load(cfg)
-    if cfg.trials < 0:
+def cmd_verify(args) -> None:
+    net, data = read_model(args.model), load_dataset(args.data)
+    if args.trials < 0:
         raise ConfigError("trials must be non-negative")
-    fraction = cfg.ratios.get("all", 0.5)
+    fraction = args.ratio_all
     # One forward serves the FRL ranking and the bound context, which checks
     # the layer and pays the mask-independent work once for every trial.
     trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
-    s_n = _frl_scores(engine.flatten_responses(trace[-1]), cfg.alpha)
-    bound = analysis.BoundContext(net, data.inputs, s_n, cfg.layer, trace=trace)
+    s_n = _frl_scores(engine.flatten_responses(trace[-1]), args.alpha)
+    bound = analysis.BoundContext(net, data.inputs, s_n, args.layer, trace=trace)
     del trace
     width = bound.width
     keep = keep_count(width, fraction)
 
-    rng = np.random.default_rng(cfg.seeds[0])
+    rng = np.random.default_rng(args.seeds[0])
     results = []
     violations = 0
     ratios = []
-    for trial in range(cfg.trials):
+    for trial in range(args.trials):
         mask = np.zeros(width)
         mask[rng.permutation(width)[:keep]] = 1.0
         report = bound.check(mask)
@@ -316,8 +272,8 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
         })
 
     doc = {
-        "layer_id": cfg.layer,
-        "trials": cfg.trials,
+        "layer_id": args.layer,
+        "trials": args.trials,
         "keep_fraction": fraction,
         "violations": violations,
         "slack_ratio_min": min(ratios) if ratios else None,
@@ -325,7 +281,7 @@ def cmd_verify(cfg: ExperimentConfig) -> None:
         "slack_ratio_max": max(ratios) if ratios else None,
         "results": results,
     }
-    atomic_write_bytes(_out_path(cfg, "bound_report.json"), canonical_json(doc))
+    atomic_write_bytes(_out_path(args, "bound_report.json"), canonical_json(doc))
 
 
 def main(argv=None) -> int:
@@ -335,8 +291,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
     try:
-        cfg = _config_from_args(args)
-        args.func(cfg)
+        args.func(_config_from_args(args))
     except ConfigError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -54,104 +55,74 @@ def save_dataset(ds: Dataset, csv_path: str) -> None:
     )
 
 
-def _read_plain(fh):
-    r"""(values, labels) of a CSV that needs none of csv's quoting, or None.
+def _rows(fh):
+    r"""Yield the rows ``csv.reader(fh)`` would, splitting plain lines itself.
 
     Read with ``newline=""``, a line holds one line end, "\n", "\r" or
     "\r\n", at its end. Without it, a line that holds no quote and no NUL
-    splits at every comma under csv's default dialect, so ``str.split`` hands
-    ``float()`` and ``int()`` the very strings ``csv.reader`` would. Any other
-    line, and any error, returns None, and ``_read_rows`` reads the whole
-    file again, so every message stays its own. Rows are parsed as they
-    stream by, without holding the text or its field strings.
+    splits at every comma under csv's default dialect, so ``str.split`` gives
+    ``float()`` and ``int()`` the very strings ``csv.reader`` would. From the
+    first line that needs csv's quoting, or holds a field over csv's size
+    limit, ``csv.reader`` reads the rest of the stream, that line included.
     """
     limit = csv.field_size_limit()
-
-    def fields_of(line):
-        line = line.rstrip("\r\n")
-        if not line or '"' in line or "\0" in line:
-            return None
-        fields = line.split(",")
-        if len(line) > limit and max(map(len, fields)) > limit:
-            return None  # csv.reader raises on a field over its size limit
-        return fields
-
-    header = fields_of(fh.readline())
-    if header is None:
-        return None
-    has_label = header[-1] == "label"
-    d = len(header) - 1 if has_label else len(header)
-    if header[:d] != ["x%d" % j for j in range(d)]:
-        return None
-    rows, texts = [], []
-    try:
-        for line in fh:
-            fields = fields_of(line)
-            if fields is None or len(fields) != len(header):
-                return None
-            rows.append(np.fromiter(map(float, fields[:d]), float, d))
-            if has_label:
-                texts.append(fields[d])
-        labels = np.array([int(text) for text in texts], dtype=int) if any(texts) else None
-    except (ValueError, OverflowError):
-        return None
-    if not rows:
-        return None
-    return np.array(rows), labels
+    for line in fh:
+        text = line.rstrip("\r\n")
+        if '"' in text or "\0" in text:
+            break
+        fields = text.split(",") if text else []
+        if len(text) > limit and max(map(len, fields)) > limit:
+            break  # csv.reader raises on a field over its size limit
+        yield fields
+    else:
+        return
+    yield from csv.reader(itertools.chain([line], fh))
 
 
-def _read_rows(csv_path: str):
-    """(values, labels) of any CSV through ``csv.reader``; raises DataError."""
+def load_dataset(csv_path: str) -> Dataset:
+    """Read a CSV (and its manifest) in one pass; any bad input raises DataError.
+
+    Rows are parsed as they stream by, without holding the text or its field
+    strings. Labels are parsed after every value, so a bad value reports
+    before a bad label on any row.
+    """
     try:
         with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError("%s is empty" % csv_path) from None
-            rows = list(reader)
-    except OSError as e:
+            rows = _rows(fh)
+            header = next(rows, None)
+            if header is None:
+                raise DataError("%s is empty" % csv_path)
+            has_label = bool(header) and header[-1] == "label"
+            d = len(header) - 1 if has_label else len(header)
+            if header[:d] != ["x%d" % j for j in range(d)]:
+                raise DataError("%s header must be x0..x%d[,label]" % (csv_path, d - 1))
+            values, texts = [], []
+            for i, row in enumerate(rows, 2):
+                if len(row) != len(header):
+                    raise DataError("%s row %d has %d fields, expected %d" % (csv_path, i, len(row), len(header)))
+                try:
+                    values.append(np.fromiter(map(float, row[:d]), float, d))
+                except ValueError as e:
+                    raise DataError("%s row %d: %s" % (csv_path, i, e)) from e
+                if has_label:
+                    texts.append(row[d])
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError("cannot read %s: %s" % (csv_path, e)) from e
-
-    has_label = bool(header) and header[-1] == "label"
-    d = len(header) - 1 if has_label else len(header)
-    expected = ["x%d" % j for j in range(d)]
-    if header[:d] != expected:
-        raise DataError("%s header must be x0..x%d[,label]" % (csv_path, d - 1))
-    if not rows:
+    if not values:
         raise DataError("%s has no data rows" % csv_path)
-
-    values = np.empty((len(rows), d))
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError("%s row %d has %d fields, expected %d" % (csv_path, i + 2, len(row), len(header)))
-        try:
-            values[i] = [float(v) for v in row[:d]]
-        except ValueError as e:
-            raise DataError("%s row %d: %s" % (csv_path, i + 2, e)) from e
+    values = np.array(values)
 
     # An all-empty label column is how unlabeled data is saved; a column
     # that is empty on only some rows is an error, not unlabeled data.
-    texts = [row[d] for row in rows] if has_label else []
     labels = None
     if any(texts):
-        labels = np.empty(len(rows), dtype=int)
+        labels = np.empty(len(texts), dtype=int)
         for i, text in enumerate(texts):
             try:
                 labels[i] = int(text)
             except (ValueError, OverflowError) as e:
                 raise DataError("%s row %d: label %r is not an integer; label every row or none"
                                 % (csv_path, i + 2, text)) from e
-    return values, labels
-
-
-def load_dataset(csv_path: str) -> Dataset:
-    try:
-        with open(csv_path, newline="") as fh:
-            parsed = _read_plain(fh)
-    except OSError as e:
-        raise DataError("cannot read %s: %s" % (csv_path, e)) from e
-    values, labels = parsed or _read_rows(csv_path)
     if not np.isfinite(values).all():
         raise DataError("%s contains non-finite values" % csv_path)
 

@@ -300,6 +300,14 @@ def validate(net: Network) -> ValidationReport:
     return ValidationReport(len(violations) == 0, violations)
 
 
+def require_valid(net: Network, problem: str) -> Network:
+    """Return ``net``, or raise ShapeError naming ``problem`` and every violation."""
+    report = validate(net)
+    if not report.ok:
+        raise ShapeError(problem + ": " + "; ".join("layer %d: %s" % v for v in report.violations))
+    return net
+
+
 def layer_params(layer: Layer) -> int:
     """Parameter count: weights plus biases (scale and shift for batch-norm)."""
     total = 0
@@ -405,12 +413,7 @@ def save_model(net: Network) -> bytes:
     load(save(net)) reproduces every weight bit for bit and equal networks
     serialize to equal bytes.
     """
-    report = validate(net)
-    if not report.ok:
-        raise ShapeError(
-            "refusing to save an invalid network: "
-            + "; ".join("layer %d: %s" % v for v in report.violations)
-        )
+    require_valid(net, "refusing to save an invalid network")
     doc = {
         "frl_index": int(net.frl_index),
         "skip_edges": [[int(s), int(d)] for s, d in net.skip_edges],
@@ -485,11 +488,9 @@ def _layer_from_doc(doc, idx: int) -> Layer:
 
 def load_model(data) -> Network:
     """Parse canonical JSON into a Network, rejecting anything inconsistent."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except ValueError as e:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as e:  # UnicodeDecodeError included
         raise ModelFormatError("model document is not valid JSON: %s" % e) from e
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -509,13 +510,7 @@ def load_model(data) -> Network:
         edges.append((_as_int(e[0], "skip edge source"), _as_int(e[1], "skip edge merge")))
 
     net = Network(layers=layers, frl_index=frl_index, skip_edges=tuple(edges))
-    report = validate(net)
-    if not report.ok:
-        raise ShapeError(
-            "model document describes an inconsistent network: "
-            + "; ".join("layer %d: %s" % v for v in report.violations)
-        )
-    return net
+    return require_valid(net, "model document describes an inconsistent network")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -225,15 +225,8 @@ def bp_pool_matrix(geometry: Geometry) -> np.ndarray:
 def bp_lrn_matrix(local_size: int, geometry: Geometry) -> np.ndarray:
     """Band over channels at each spatial position, every entry 1/local_size."""
     g = geometry
-    x2 = g.x * g.x
-    half = (local_size - 1) // 2
-    bp = np.zeros((g.c_out * x2, g.c_in * x2))
-    for c_out_idx in range(g.c_out):
-        for c_in_idx in range(g.c_in):
-            if abs(c_out_idx - c_in_idx) <= half:
-                idx = np.arange(x2)
-                bp[c_out_idx * x2 + idx, c_in_idx * x2 + idx] = 1.0 / float(local_size)
-    return bp
+    band = np.abs(np.arange(g.c_out)[:, None] - np.arange(g.c_in)) <= (local_size - 1) // 2
+    return np.kron(band, np.eye(g.x * g.x)) / float(local_size)
 
 
 def bp_matrix(layer: Layer) -> np.ndarray:
@@ -529,11 +522,9 @@ def plan_to_json(plan: ImportancePlan) -> bytes:
 
 
 def plan_from_json(data) -> ImportancePlan:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except ValueError as e:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as e:  # UnicodeDecodeError included
         raise ModelFormatError("plan document is not valid JSON: %s" % e) from e
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ModelFormatError("plan document needs a layers list")

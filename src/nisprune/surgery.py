@@ -28,8 +28,8 @@ from .model import (
     layer_params,
     output_shapes,
     prunable_layer_ids,
+    require_valid,
     shape_size,
-    validate,
 )
 from .propagation import (
     ImportancePlan,
@@ -127,12 +127,7 @@ def apply_plan(net: Network, plan: ImportancePlan):
         rows.append((i, kept, width - kept, layer_params(layer), layer_params(new)))
 
     pruned = Network(layers=tuple(new_layers), frl_index=net.frl_index, skip_edges=net.skip_edges)
-    report = validate(pruned)
-    if not report.ok:
-        raise ShapeError(
-            "surgery produced an inconsistent network: "
-            + "; ".join("layer %d: %s" % v for v in report.violations)
-        )
+    require_valid(pruned, "surgery produced an inconsistent network")
     summary = SurgeryReport(
         rows=rows,
         params_before=sum(r[3] for r in rows),

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import engine
 from .datasets import Dataset
-from .errors import ConfigError, DataError, ShapeError
-from .model import Layer, Network, validate
+from .errors import ConfigError, DataError
+from .model import Layer, Network, require_valid
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ def check_trainable(net: Network):
             raise ConfigError("layer %d: only dense stacks are trainable, found %s" % (i, layer.kind))
         if layer.activation not in _GRAD_ACTS:
             raise ConfigError("layer %d: no gradient rule for activation %r" % (i, layer.activation))
-    report = validate(net)
-    if not report.ok:
-        raise ShapeError("network fails validation: " + "; ".join("layer %d: %s" % v for v in report.violations))
+    require_valid(net, "network fails validation")
 
 
 def _act_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:

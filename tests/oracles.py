@@ -62,6 +62,20 @@ def lrn_importance_brute(local_size, s_out):
     return acc
 
 
+def bp_lrn_matrix_loop(local_size, geometry):
+    """``propagation.bp_lrn_matrix`` filled entry by entry over channel pairs."""
+    g = geometry
+    x2 = g.x * g.x
+    half = (local_size - 1) // 2
+    bp = np.zeros((g.c_out * x2, g.c_in * x2))
+    for c_out_idx in range(g.c_out):
+        for c_in_idx in range(g.c_in):
+            if abs(c_out_idx - c_in_idx) <= half:
+                idx = np.arange(x2)
+                bp[c_out_idx * x2 + idx, c_in_idx * x2 + idx] = 1.0 / float(local_size)
+    return bp
+
+
 def conv_forward_brute(layer, x):
     """Direct quintuple-loop convolution."""
     g = layer.geometry
@@ -313,12 +327,15 @@ def compare_csv_reference(cfg):
 
     Every row builds its own plan, seed-independent or not, and every metric
     runs its own forwards through ``engine.accuracy``, ``analysis.ware`` and
-    ``engine.top1_agreement``. ``cfg`` is the command's ``ExperimentConfig``.
+    ``engine.top1_agreement``. ``cfg`` is the command's parsed namespace as
+    ``cli._config_from_args`` finishes it.
     """
     from nisprune import analysis, cli, surgery, trainer
+    from nisprune.datasets import load_dataset
     from nisprune.errors import DataError
+    from nisprune.model import read_model
 
-    net, data = cli._load(cfg)
+    net, data = read_model(cfg.model), load_dataset(cfg.data)
     if data.labels is None:
         raise DataError("compare needs labeled data")
     trainer.check_trainable(net)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -505,13 +506,29 @@ def test_unknown_command_and_missing_flags_exit_2(workspace, capsys):
     capsys.readouterr()
 
 
-def test_corrupt_model_exits_3(workspace):
-    bad = str(workspace["tmp"] / "bad.json")
-    with open(bad, "w") as fh:
-        fh.write("{ not json")
-    code = run(["rank", "--model", bad, "--data", workspace["csv"], "--out", workspace["out"]])
+def _edit_line(data, number, edit):
+    lines = data.split(b"\n")
+    lines[number - 1] = edit(lines[number - 1])
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("which, corrupt", [
+    ("model", lambda good: b"{ not json"),
+    ("model", lambda good: b"\xff" + good),
+    ("csv", lambda good: _edit_line(good, 3, lambda line: b"\xff" + line)),
+    ("csv", lambda good: _edit_line(
+        good, 2, lambda line: b"0" * csv.field_size_limit() + b"1" + line[line.index(b","):])),
+], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field"])
+def test_corrupt_input_exits_3(workspace, which, corrupt):
+    paths = {"model": workspace["model"], "csv": workspace["csv"]}
+    with open(paths[which], "rb") as fh:
+        bad = corrupt(fh.read())
+    paths[which] = str(workspace["tmp"] / "bad")
+    with open(paths[which], "wb") as fh:
+        fh.write(bad)
+    code = run(["rank", "--model", paths["model"], "--data", paths["csv"], "--out", workspace["out"]])
     assert code == 3
-    assert not os.path.exists(os.path.join(workspace["out"], "ranking.csv"))
+    assert not os.path.exists(workspace["out"])
 
 
 def test_failure_leaves_no_partial_outputs(workspace):

@@ -173,19 +173,29 @@ def test_load_matches_csv_reader_loop(case):
 
 
 def test_load_matches_csv_reader_loop_on_undecodable_bytes_and_long_fields(tmp_path):
+    # Where the csv.reader loop lets UnicodeDecodeError or csv.Error escape,
+    # load_dataset raises DataError with the same text after the file name.
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"x0,label\n1.0,0\n\xff,1\n")
-    assert _outcome(load_dataset, str(bad))[0] == "error"
-    assert _outcome(load_dataset, str(bad)) == _outcome(oracles.load_dataset_reference, str(bad))
+    want = _outcome(oracles.load_dataset_reference, str(bad))
+    assert want[:2] == ("error", UnicodeDecodeError)
+    assert _outcome(load_dataset, str(bad)) == ("error", DataError, "cannot read %s: %s" % (bad, want[2]))
     # csv.reader refuses a field longer than its size limit even where
     # float() would take it.
     long = tmp_path / "long.csv"
     long.write_text("x0,x1\n1.5,%s\n" % ("0" * 40 + "1.5"))
+    # Rows are parsed as they stream by, so a bad value on row 2 reports
+    # before the over-limit field on row 3 that the old loop met first.
+    late = tmp_path / "late.csv"
+    late.write_text("x0,x1\n1.5,abc\n1.5,%s\n" % ("0" * 40 + "1.5"))
     old = csv.field_size_limit(32)
     try:
-        outcome = _outcome(load_dataset, str(long))
-        assert outcome[:2] == ("error", csv.Error)
-        assert outcome == _outcome(oracles.load_dataset_reference, str(long))
+        want = _outcome(oracles.load_dataset_reference, str(long))
+        assert want[:2] == ("error", csv.Error)
+        assert _outcome(load_dataset, str(long)) == ("error", DataError, "cannot read %s: %s" % (long, want[2]))
+        assert _outcome(oracles.load_dataset_reference, str(late))[:2] == ("error", csv.Error)
+        assert _outcome(load_dataset, str(late)) == (
+            "error", DataError, "%s row 2: could not convert string to float: 'abc'" % late)
     finally:
         csv.field_size_limit(old)
     assert np.array_equal(load_dataset(str(long)).inputs, [[1.5, 1.5]])
@@ -196,8 +206,8 @@ def test_plain_csv_is_read_without_csv_reader(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     save_dataset(Dataset(inputs=rng.standard_normal((5, 2, 2, 2)), labels=np.arange(5)), path)
     want = oracles.load_dataset_reference(path)
-    calls, read_rows = [], datasets._read_rows
-    monkeypatch.setattr(datasets, "_read_rows", lambda p: calls.append(p) or read_rows(p))
+    calls, reader = [], datasets.csv.reader
+    monkeypatch.setattr(datasets.csv, "reader", lambda lines: calls.append(lines) or reader(lines))
     got = load_dataset(path)
     assert calls == []
     assert got.inputs.tobytes() == want.inputs.tobytes() and got.inputs.shape == (5, 2, 2, 2)
@@ -207,4 +217,4 @@ def test_plain_csv_is_read_without_csv_reader(tmp_path, monkeypatch):
     with open(path, "w") as fh:
         fh.write(text.replace("x1", '"x1"'))
     load_dataset(path)
-    assert calls == [path]
+    assert len(calls) == 1

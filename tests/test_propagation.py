@@ -124,7 +124,9 @@ def test_spatial_rules_match_matrices_and_brute_force():
         lg = Geometry(x=2, y=2, k=1, s=1, p=0, c_in=channels, c_out=channels)
         s_out = np.abs(rng.standard_normal((channels, 2, 2)))
         got = propagate_lrn(local_size, s_out)
-        via_matrix = (s_out.ravel() @ bp_lrn_matrix(local_size, lg)).reshape(channels, 2, 2)
+        matrix = bp_lrn_matrix(local_size, lg)
+        assert matrix.tobytes() == oracles.bp_lrn_matrix_loop(local_size, lg).tobytes()
+        via_matrix = (s_out.ravel() @ matrix).reshape(channels, 2, 2)
         assert np.max(np.abs(got - via_matrix)) <= 1e-12
         assert np.max(np.abs(got - oracles.lrn_importance_brute(local_size, s_out))) <= 1e-12
 
