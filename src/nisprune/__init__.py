@@ -27,7 +27,7 @@ from .model import (
     write_model,
 )
 from .datasets import Dataset, load_dataset, save_dataset
-from .engine import accuracy, forward, predict, top1_agreement
+from .engine import accuracy, forward, top1_agreement
 from .ranking import AffinityGraph, build_affinity, inffs_scores, magnitude_scores
 from .propagation import (
     ImportancePlan,
@@ -110,7 +110,6 @@ __all__ = [
     "pca_energy",
     "plan_from_json",
     "plan_to_json",
-    "predict",
     "random_plan",
     "read_model",
     "reinit",

@@ -87,7 +87,7 @@ def load_dataset(csv_path: str) -> Dataset:
     before a bad label on any row.
     """
     try:
-        with open(csv_path, newline="") as fh:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
             rows = _rows(fh)
             header = next(rows, None)
             if header is None:
@@ -130,7 +130,7 @@ def load_dataset(csv_path: str) -> Dataset:
     mpath = manifest_path_for(csv_path)
     if os.path.exists(mpath):
         try:
-            with open(mpath) as fh:
+            with open(mpath, encoding="utf-8") as fh:
                 manifest = json.load(fh)
             shape = tuple(int(v) for v in manifest["input_shape"])
         except (OSError, ValueError, KeyError, TypeError) as e:

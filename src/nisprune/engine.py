@@ -42,18 +42,6 @@ def activation_lipschitz(kind: str) -> float:
         raise ConfigError("unknown activation %r" % (kind,)) from None
 
 
-def flatten_response(value: np.ndarray) -> np.ndarray:
-    """Channel-major then row-major flattening; the package-wide convention."""
-    return np.asarray(value, dtype=float).ravel()
-
-
-def unflatten_response(vec: np.ndarray, shape) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != int(np.prod(shape)):
-        raise ShapeError("cannot reshape %d values into %r" % (vec.size, (shape,)))
-    return vec.reshape(shape)
-
-
 # Samples per call of the dense and conv summing loops: enough to amortise the
 # Python loop over terms, few enough that a block's accumulator stays in cache.
 SAMPLE_BLOCK = 64
@@ -225,19 +213,13 @@ def forward(net: Network, x) -> list:
 
 
 def flatten_responses(batch: np.ndarray) -> np.ndarray:
-    """One flattened response per row; see flatten_response."""
+    """One flattened response per row: channel-major, then row-major."""
     return batch.reshape(len(batch), -1)
 
 
 def batch_responses(net: Network, inputs, layer_id: int) -> np.ndarray:
     """Rows of flattened responses of one layer, one row per sample."""
     return flatten_responses(batch_forward(net, inputs, 0, layer_id)[-1])
-
-
-def predict(net: Network, inputs) -> np.ndarray:
-    """Top-1 class per sample; argmax ties go to the lowest index."""
-    out = batch_responses(net, inputs, len(net.layers) - 1)
-    return np.argmax(out, axis=1)
 
 
 def output_accuracy(outputs: np.ndarray, labels) -> float:

@@ -22,7 +22,20 @@ import numpy as np
 
 from .errors import ModelFormatError, ShapeError
 
-KINDS = ("Dense", "Conv2D", "Pool2D", "LRN", "BatchNorm", "Activation")
+# The keys of each kind's JSON object besides "kind"; each names the Layer
+# field it holds. save_model writes exactly these, and load_model rejects any
+# other key, so that a misspelt key cannot load as its field's default.
+LAYER_KEYS = {
+    "Dense": ("activation", "weights", "bias"),
+    "Conv2D": ("activation", "weights", "bias", "geometry"),
+    "Pool2D": ("geometry", "pool_mode"),
+    "LRN": ("geometry", "lrn_local_size"),
+    "BatchNorm": ("weights", "bias"),
+    "Activation": ("activation",),
+}
+KINDS = tuple(LAYER_KEYS)
+MODEL_KEYS = ("frl_index", "skip_edges", "layers")
+GEOMETRY_KEYS = ("x", "y", "k", "s", "p", "c_in", "c_out")
 ACTIVATION_KINDS = ("Identity", "ReLU", "Sigmoid", "Tanh")
 POOL_MODES = ("max", "avg")
 
@@ -169,10 +182,9 @@ def _layer_messages(layer: Layer) -> list:
         else:
             if g.c_in != g.c_out or g.x != g.y:
                 msgs.append("LRN preserves shape but geometry says otherwise")
+            # A window wider than the channels is clipped, as by every LRN rule.
             if n < 1 or n % 2 == 0:
                 msgs.append("LRN local size must be odd and positive, got %d" % n)
-            elif n > g.c_in:
-                msgs.append("LRN local size %d exceeds channel count %d" % (n, g.c_in))
     elif layer.kind == "BatchNorm":
         w, b = layer.weights, layer.bias
         if w is None or b is None or w.ndim != 1 or b.ndim != 1 or w.shape != b.shape:
@@ -387,22 +399,11 @@ def canonical_json(doc, allow_nan: bool = True) -> bytes:
 
 def _layer_doc(layer: Layer) -> dict:
     doc = {"kind": layer.kind}
-    if layer.kind in ("Dense", "Conv2D", "Activation"):
-        doc["activation"] = layer.activation
-    if layer.weights is not None:
-        doc["weights"] = layer.weights.tolist()
-    if layer.bias is not None:
-        doc["bias"] = layer.bias.tolist()
-    if layer.geometry is not None:
-        g = layer.geometry
-        doc["geometry"] = {
-            "x": g.x, "y": g.y, "k": g.k, "s": g.s, "p": g.p,
-            "c_in": g.c_in, "c_out": g.c_out,
-        }
-    if layer.kind == "Pool2D":
-        doc["pool_mode"] = layer.pool_mode
-    if layer.kind == "LRN":
-        doc["lrn_local_size"] = layer.lrn_local_size
+    for key in LAYER_KEYS[layer.kind]:
+        value = getattr(layer, key)
+        if key == "geometry":
+            value = {name: getattr(value, name) for name in GEOMETRY_KEYS}
+        doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
     return doc
 
 
@@ -441,12 +442,19 @@ def _as_int(value, what: str) -> int:
 _WEIGHT_NDIM = {"Dense": 2, "Conv2D": 4, "BatchNorm": 1}
 
 
+def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ModelFormatError("%s has unknown keys %s; allowed are %s" % (where, unknown, sorted(allowed)))
+
+
 def _layer_from_doc(doc, idx: int) -> Layer:
     if not isinstance(doc, dict):
         raise ModelFormatError("layer %d is not an object" % idx)
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ModelFormatError("layer %d has unknown kind %r" % (idx, kind))
+    _reject_unknown_keys(doc, ("kind",) + LAYER_KEYS[kind], "layer %d (%s)" % (idx, kind))
 
     weights = bias = None
     if kind in _WEIGHT_NDIM:
@@ -456,13 +464,13 @@ def _layer_from_doc(doc, idx: int) -> Layer:
         bias = _as_float_array(doc["bias"], "layer %d bias" % idx, 1)
 
     geometry = None
-    if kind in ("Conv2D", "Pool2D", "LRN"):
+    if "geometry" in LAYER_KEYS[kind]:
         gdoc = doc.get("geometry")
         if not isinstance(gdoc, dict):
             raise ModelFormatError("layer %d (%s) needs a geometry object" % (idx, kind))
+        _reject_unknown_keys(gdoc, GEOMETRY_KEYS, "layer %d geometry" % idx)
         try:
-            geometry = Geometry(**{k: _as_int(gdoc[k], "geometry.%s" % k)
-                                   for k in ("x", "y", "k", "s", "p", "c_in", "c_out")})
+            geometry = Geometry(**{k: _as_int(gdoc[k], "geometry.%s" % k) for k in GEOMETRY_KEYS})
         except KeyError as e:
             raise ModelFormatError("layer %d geometry is missing %s" % (idx, e)) from e
 
@@ -494,6 +502,7 @@ def load_model(data) -> Network:
         raise ModelFormatError("model document is not valid JSON: %s" % e) from e
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
+    _reject_unknown_keys(doc, MODEL_KEYS, "model document")
     layer_docs = doc.get("layers")
     if not isinstance(layer_docs, list) or not layer_docs:
         raise ModelFormatError("model document needs a non-empty layers list")

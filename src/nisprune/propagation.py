@@ -183,16 +183,8 @@ def propagate_lrn(local_size: int, s_out: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate_identity(s_out: np.ndarray) -> np.ndarray:
-    return np.array(s_out, dtype=float, copy=True)
-
-
 # ---------------------------------------------------------------------------
 # explicit propagation matrices
-
-def bp_dense_matrix(weights: np.ndarray) -> np.ndarray:
-    return np.abs(np.asarray(weights, dtype=float))
-
 
 def bp_conv_matrix(kernel: np.ndarray, geometry: Geometry) -> np.ndarray:
     """(c_out*y*y, c_in*x*x) matrix with s_in = s_out @ BP.
@@ -232,7 +224,7 @@ def bp_lrn_matrix(local_size: int, geometry: Geometry) -> np.ndarray:
 def bp_matrix(layer: Layer) -> np.ndarray:
     """Explicit propagation matrix of a weighted or spatial layer."""
     if layer.kind == "Dense":
-        return bp_dense_matrix(layer.weights)
+        return np.abs(np.asarray(layer.weights, dtype=float))
     if layer.kind == "Conv2D":
         return bp_conv_matrix(layer.weights, layer.geometry)
     if layer.kind == "Pool2D":
@@ -258,9 +250,7 @@ def _propagate_through(layer: Layer, s_flat: np.ndarray) -> np.ndarray:
     if layer.kind == "LRN":
         g = layer.geometry
         return propagate_lrn(layer.lrn_local_size, s_flat.reshape(g.c_in, g.x, g.x)).ravel()
-    if layer.kind in ("BatchNorm", "Activation"):
-        return propagate_identity(s_flat)
-    raise ShapeError("unknown layer kind %r" % (layer.kind,))
+    return np.array(s_flat, dtype=float, copy=True)  # BatchNorm or Activation; output_shapes rejects the rest
 
 
 def channel_mask(flat_mask: np.ndarray, channels: int) -> np.ndarray:

@@ -48,14 +48,15 @@ def spectral_radius(a: np.ndarray) -> float:
         return 0.0
     b = a + shift * np.eye(n)
     v = np.full(n, 1.0 / np.sqrt(n))
+    w = b @ v
     prev = np.inf
     for _ in range(10000):
-        w = b @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        lam = float(v @ (b @ v))
+        w = b @ v  # the estimate's product is the next step's w
+        lam = float(v @ w)
         if abs(lam - prev) <= 1e-13 * max(1.0, abs(lam)):
             break
         prev = lam

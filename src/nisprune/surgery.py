@@ -116,10 +116,8 @@ def apply_plan(net: Network, plan: ImportancePlan):
             else:
                 keep = np.flatnonzero(in_mask)
                 new = replace(layer, weights=layer.weights[keep].copy(), bias=layer.bias[keep].copy())
-        elif layer.kind == "Activation":
+        else:  # Activation; output_shapes above rejects unknown kinds
             new = layer
-        else:
-            raise ShapeError("unknown layer kind %r" % (layer.kind,))
 
         new_layers.append(new)
         width = shape_size(shapes[i])

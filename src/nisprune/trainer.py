@@ -117,17 +117,12 @@ def reinit(net: Network, seed: int) -> Network:
     return Network(layers=tuple(layers), frl_index=net.frl_index, skip_edges=net.skip_edges)
 
 
-_GRAD_ACTS = ("Identity", "ReLU", "Sigmoid", "Tanh")
-
-
 def check_trainable(net: Network):
     if net.skip_edges:
         raise ConfigError("training supports chains only, drop the skip edges")
     for i, layer in enumerate(net.layers):
         if layer.kind not in ("Dense", "Activation"):
             raise ConfigError("layer %d: only dense stacks are trainable, found %s" % (i, layer.kind))
-        if layer.activation not in _GRAD_ACTS:
-            raise ConfigError("layer %d: no gradient rule for activation %r" % (i, layer.activation))
     require_valid(net, "network fails validation")
 
 
@@ -138,41 +133,26 @@ def _act_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return (z > 0).astype(z.dtype)
     if kind == "Sigmoid":
         return a * (1.0 - a)
-    return 1.0 - a * a
+    return 1.0 - a * a  # Tanh, the last of model.ACTIVATION_KINDS
 
 
-def _forward_ops(params, ops, x):
+def _unpack(net: Network):
+    """Each layer's activation, and its (weights, bias), or None for an activation layer."""
+    acts = [layer.activation for layer in net.layers]
+    params = [(layer.weights, layer.bias) if layer.kind == "Dense" else None for layer in net.layers]
+    return acts, params
+
+
+def _forward(acts, params, x):
     """Returns the output plus the (input, pre-activation, activation) records."""
     a = x
     records = []
-    for kind, idx, act in ops:
-        if kind == "dense":
-            w, b = params[idx]
-            z = a @ w.T + b
-        else:
-            z = a
+    for act, p in zip(acts, params):
+        z = a if p is None else a @ p[0].T + p[1]
         a_new = engine.apply_activation(act, z)
         records.append((a, z, a_new))
         a = a_new
     return a, records
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _net_ops(net: Network):
-    ops = []
-    dense_ids = []
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "Dense":
-            ops.append(("dense", len(dense_ids), layer.activation))
-            dense_ids.append(i)
-        else:
-            ops.append(("act", None, layer.activation))
-    return ops, dense_ids
 
 
 def loss_and_grads(net: Network, inputs: np.ndarray, labels: np.ndarray):
@@ -182,15 +162,15 @@ def loss_and_grads(net: Network, inputs: np.ndarray, labels: np.ndarray):
     the network's final response, after whatever activation it carries.
     """
     check_trainable(net)
-    ops, dense_ids = _net_ops(net)
-    params = [(net.layers[i].weights, net.layers[i].bias) for i in dense_ids]
-    return _loss_and_grads_raw(params, ops, dense_ids, np.asarray(inputs, dtype=float), np.asarray(labels))
+    return _loss_and_grads(*_unpack(net), np.asarray(inputs, dtype=float), np.asarray(labels))
 
 
-def _loss_and_grads_raw(params, ops, dense_ids, x, y):
-    logits, records = _forward_ops(params, ops, x)
+def _loss_and_grads(acts, params, x, y):
+    logits, records = _forward(acts, params, x)
     m = x.shape[0]
-    probs = _softmax(logits)
+    # Softmax, shifted by each row's maximum so that exp cannot overflow.
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
     loss = float(-np.log(np.maximum(probs[np.arange(m), y], 1e-300)).mean())
 
     d_a = probs.copy()
@@ -198,15 +178,14 @@ def _loss_and_grads_raw(params, ops, dense_ids, x, y):
     d_a /= m
 
     grads = {}
-    for op, (a_in, z, a_out) in zip(reversed(ops), reversed(records)):
-        kind, idx, act = op
-        d_z = d_a * _act_grad(act, z, a_out)
-        if kind == "dense":
-            w, _ = params[idx]
-            grads[dense_ids[idx]] = (d_z.T @ a_in, d_z.sum(axis=0))
-            d_a = d_z @ w
-        else:
+    for i in reversed(range(len(params))):
+        a_in, z, a_out = records[i]
+        d_z = d_a * _act_grad(acts[i], z, a_out)
+        if params[i] is None:
             d_a = d_z
+        else:
+            grads[i] = (d_z.T @ a_in, d_z.sum(axis=0))
+            d_a = d_z @ params[i][0]
     return loss, grads
 
 
@@ -239,11 +218,7 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
     if y.min() < 0 or y.max() >= out_dim:
         raise DataError("labels must lie in [0, %d)" % out_dim)
 
-    ops, dense_ids = _net_ops(net)
-    params = [
-        (net.layers[i].weights.astype(float).copy(), net.layers[i].bias.astype(float).copy())
-        for i in dense_ids
-    ]
+    acts, params = _unpack(net)
 
     rng = np.random.default_rng(cfg.seed)
     losses = []
@@ -253,21 +228,18 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = _loss_and_grads_raw(params, ops, dense_ids, x[batch], y[batch])
+            loss, grads = _loss_and_grads(acts, params, x[batch], y[batch])
             epoch_loss += loss * batch.size
-            for idx, layer_id in enumerate(dense_ids):
-                d_w, d_b = grads[layer_id]
-                w, b = params[idx]
-                params[idx] = (w - cfg.learning_rate * d_w, b - cfg.learning_rate * d_b)
+            for i, (d_w, d_b) in grads.items():
+                w, b = params[i]
+                params[i] = (w - cfg.learning_rate * d_w, b - cfg.learning_rate * d_b)
         losses.append(epoch_loss / n)
-        logits, _ = _forward_ops(params, ops, x)
+        logits, _ = _forward(acts, params, x)
         accs.append(float((logits.argmax(axis=1) == y).mean()))
 
-    layers = list(net.layers)
-    for idx, layer_id in enumerate(dense_ids):
-        w, b = params[idx]
-        layers[layer_id] = replace(layers[layer_id], weights=w, bias=b)
-    trained = Network(layers=tuple(layers), frl_index=net.frl_index, skip_edges=net.skip_edges)
+    layers = tuple(layer if p is None else replace(layer, weights=p[0], bias=p[1])
+                   for layer, p in zip(net.layers, params))
+    trained = Network(layers=layers, frl_index=net.frl_index, skip_edges=net.skip_edges)
     return trained, LearningCurve(train_loss=losses, eval_accuracy=accs)
 
 

@@ -216,8 +216,7 @@ def masked_forward(net, x, masks):
     trace = [np.asarray(x, dtype=float)]
     for i, layer in enumerate(net.layers):
         out = engine.layer_forward(layer, trace[-1])
-        flat = engine.flatten_response(out) * masks[i]
-        out = engine.unflatten_response(flat, np.shape(out))
+        out = (out.ravel() * masks[i]).reshape(out.shape)
         for src, dst in net.skip_edges:
             if dst == i:
                 out = out + trace[src + 1]

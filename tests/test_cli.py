@@ -498,6 +498,26 @@ def test_verify_rejects_bad_layer_even_without_trials(conv_workspace, layer):
     assert not os.path.exists(os.path.join(conv_workspace["out"], "bound_report.json"))
 
 
+def test_prune_leaving_fewer_channels_than_the_lrn_window_exits_0(tmp_path):
+    # Keeping 2 of 4 conv channels under an LRN of local size 3 leaves a
+    # window wider than the channels, which every LRN rule clips.
+    rng = np.random.default_rng(71)
+    lrn = Layer(kind="LRN", geometry=Geometry(x=4, y=4, k=1, s=1, p=0, c_in=4, c_out=4), lrn_local_size=3)
+    net = Network(
+        layers=(factories.conv_layer(rng, Geometry(x=4, y=4, k=3, s=1, p=1, c_in=2, c_out=4), "ReLU"), lrn,
+                factories.dense_layer(rng, 5, 64, "ReLU"), factories.dense_layer(rng, 3, 5)),
+        frl_index=2,
+    )
+    model_path, data_path, out = str(tmp_path / "m.json"), str(tmp_path / "d.csv"), str(tmp_path / "out")
+    write_model(net, model_path)
+    save_dataset(Dataset(inputs=rng.standard_normal((8, 2, 4, 4))), data_path)
+    code = run(["prune", "--model", model_path, "--data", data_path, "--out", out, "--ratio", "0=0.5"])
+    assert code == 0
+    pruned = read_model(os.path.join(out, "pruned_model.json"))
+    assert pruned.layers[1].geometry.c_in == 2
+    assert pruned.layers[1].lrn_local_size == 3
+
+
 # --- shared behaviour ----------------------------------------------------------------
 
 def test_unknown_command_and_missing_flags_exit_2(workspace, capsys):
@@ -518,7 +538,8 @@ def _edit_line(data, number, edit):
     ("csv", lambda good: _edit_line(good, 3, lambda line: b"\xff" + line)),
     ("csv", lambda good: _edit_line(
         good, 2, lambda line: b"0" * csv.field_size_limit() + b"1" + line[line.index(b","):])),
-], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field"])
+    ("model", lambda good: good.replace(b'"activation"', b'"activaton"', 1)),
+], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field", "model-misspelt-key"])
 def test_corrupt_input_exits_3(workspace, which, corrupt):
     paths = {"model": workspace["model"], "csv": workspace["csv"]}
     with open(paths[which], "rb") as fh:

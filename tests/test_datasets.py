@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -20,6 +22,19 @@ def test_roundtrip_labeled(tmp_path):
     back = load_dataset(path)
     assert np.array_equal(back.inputs, ds.inputs)
     assert np.array_equal(back.labels, ds.labels)
+
+
+def test_load_decodes_utf8_under_an_ascii_locale(tmp_path):
+    # The CSV is UTF-8 whatever the locale; float() reads the Arabic-Indic
+    # digit one as 1.
+    path = tmp_path / "d.csv"
+    path.write_bytes("x0,label\n\u0661.5,0\n2.0,1\n".encode("utf-8"))
+    package_root = os.path.dirname(os.path.dirname(datasets.__file__))
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from nisprune.datasets import load_dataset; print(load_dataset(sys.argv[1]).inputs.tolist())"
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[[1.5], [2.0]]\n", "")
 
 
 def test_roundtrip_unlabeled(tmp_path):

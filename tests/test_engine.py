@@ -119,7 +119,7 @@ def test_batch_responses_rows_match_traces(seed, batch):
         resp = engine.batch_responses(net, xs, layer_id)
         for m in range(batch):
             alone = engine.batch_responses(net, xs[m : m + 1], layer_id)[0]
-            traced = engine.flatten_response(engine.forward(net, xs[m])[layer_id + 1])
+            traced = engine.forward(net, xs[m])[layer_id + 1].ravel()
             assert resp[m].tobytes() == alone.tobytes() == traced.tobytes()
 
 
@@ -151,13 +151,15 @@ def test_lipschitz_inequality_sampled():
         assert np.all(np.abs(fx - fy) <= c * np.abs(x - y) + 1e-12)
 
 
-def test_predict_tie_breaks_low_index():
+def test_accuracy_tie_breaks_low_index():
     w = np.zeros((3, 2))
     net = Network(
         layers=(Layer(kind="Dense", weights=w, bias=np.array([1.0, 1.0, 0.0])),),
         frl_index=0,
     )
-    assert engine.predict(net, np.zeros((1, 2)))[0] == 0
+    # Outputs 0 and 1 tie; the top-1 class is the lower index.
+    assert engine.accuracy(net, np.zeros((1, 2)), np.array([0])) == 1.0
+    assert engine.accuracy(net, np.zeros((1, 2)), np.array([1])) == 0.0
 
 
 def test_accuracy_and_agreement():
@@ -188,22 +190,10 @@ def test_accuracy_label_validation():
         engine.accuracy(net, xs, np.array([-1, 0]))
 
 
-@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_flatten_unflatten_roundtrip(c, x, seed):
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal((c, x, x))
-    flat = engine.flatten_response(t)
-    assert flat.shape == (c * x * x,)
-    assert np.array_equal(engine.unflatten_response(flat, (c, x, x)), t)
-    v = rng.standard_normal(x)
-    assert np.array_equal(engine.flatten_response(v), v)
-
-
 def test_flatten_is_channel_major():
-    t = np.arange(8.0).reshape(2, 2, 2)
-    # channel 0 spatial block first, row-major inside
-    assert np.array_equal(engine.flatten_response(t), np.arange(8.0))
+    t = np.arange(16.0).reshape(2, 2, 2, 2)
+    # one row per sample; channel 0 spatial block first, row-major inside
+    assert np.array_equal(engine.flatten_responses(t), np.arange(16.0).reshape(2, 8))
 
 
 def test_forward_determinism():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import factories
 from nisprune.errors import ConfigError, ModelFormatError, ShapeError
 from nisprune.model import (
+    LAYER_KEYS,
     Geometry,
     Layer,
     Network,
@@ -22,7 +24,7 @@ from nisprune.model import (
     validate,
     window_index,
 )
-from nisprune import engine
+from nisprune import engine, propagation
 
 
 def identity_dense(n, activation="Identity"):
@@ -161,6 +163,58 @@ def test_load_model_parse_errors():
         load_model(b"{}")
     with pytest.raises(ModelFormatError):
         load_model(b'{"layers": [{"kind": "Nope"}], "frl_index": 0}')
+
+
+def test_saved_layers_hold_exactly_their_kinds_keys():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        doc = json.loads(save_model(factories.random_mixed_net(rng, with_skip=True)))
+        assert sorted(doc) == ["frl_index", "layers", "skip_edges"]
+        for layer in doc["layers"]:
+            assert set(layer) == {"kind", *LAYER_KEYS[layer["kind"]]}
+
+
+def _conv_pool_doc():
+    rng = np.random.default_rng(4)
+    g = Geometry(x=4, y=4, k=3, s=1, p=1, c_in=1, c_out=2)
+    net = Network(
+        layers=(
+            factories.conv_layer(rng, g, "ReLU"),
+            Layer(kind="Pool2D", geometry=Geometry(x=4, y=2, k=2, s=2, p=0, c_in=2, c_out=2)),
+            factories.dense_layer(rng, 3, 8, "ReLU"),
+            factories.dense_layer(rng, 2, 3),
+        ),
+        frl_index=2,
+    )
+    return json.loads(save_model(net))
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda doc: doc["layers"][2].update(activaton=doc["layers"][2].pop("activation")), "layer 2 (Dense)"),
+    (lambda doc: doc["layers"][1].update(activation="ReLU"), "layer 1 (Pool2D)"),
+    (lambda doc: doc["layers"][0]["geometry"].update(pad=1), "layer 0 geometry"),
+    (lambda doc: doc.update(frl=2), "model document"),
+], ids=["misspelt-activation", "key-of-another-kind", "geometry-key", "top-level-key"])
+def test_load_model_rejects_unknown_keys(edit, where):
+    doc = _conv_pool_doc()
+    load_model(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(ModelFormatError, match=r"^%s has unknown keys" % re.escape(where)):
+        load_model(json.dumps(doc))
+
+
+def test_lrn_window_wider_than_its_channels_loads():
+    # Every LRN rule clips its window at the channel borders, and surgery can
+    # leave fewer channels than the local size, so such a layer is valid.
+    lrn = Layer(kind="LRN", geometry=Geometry(x=2, y=2, k=1, s=1, p=0, c_in=3, c_out=3), lrn_local_size=5)
+    loaded = load_model(save_model(Network(layers=(lrn, identity_dense(12)), frl_index=0)))
+    assert loaded.layers[0].lrn_local_size == 5
+    # A window of 5 around any of 3 channels covers all of them.
+    x = np.random.default_rng(2).standard_normal((3, 2, 2))
+    want = x / (engine.LRN_BIAS + engine.LRN_ALPHA * (x * x).sum(axis=0)) ** engine.LRN_BETA
+    np.testing.assert_allclose(engine.forward(loaded, x)[1], want, rtol=1e-15, atol=0)
+    s = np.arange(12.0).reshape(3, 2, 2)
+    np.testing.assert_allclose(propagation.propagate_lrn(5, s), np.broadcast_to(s.sum(axis=0) / 5, s.shape))
 
 
 def test_load_model_shape_errors_surface():

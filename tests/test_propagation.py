@@ -26,7 +26,6 @@ from nisprune.propagation import (
     plan_to_json,
     propagate_conv,
     propagate_dense,
-    propagate_identity,
     propagate_lrn,
     propagate_pool,
     prune_indicator,
@@ -94,11 +93,6 @@ def test_propagate_lrn_hand_values():
     per_channel = np.array([2 / 3, 1.0, 1.0, 1.0, 2 / 3])
     assert got == pytest.approx(np.broadcast_to(per_channel[:, None, None], (5, 2, 2)))
     assert np.array_equal(propagate_lrn(1, s_out), s_out)
-
-
-def test_propagate_identity_rule():
-    s = np.array([1.0, 0.0, 3.5])
-    assert np.array_equal(propagate_identity(s), s)
 
 
 def test_spatial_rules_match_matrices_and_brute_force():

@@ -218,6 +218,21 @@ def test_plan_validation_errors():
         apply_plan(net, outside)
 
 
+def test_unknown_layer_kind_is_a_shape_error():
+    # Both walks take the network's shapes first, which rejects the kind
+    # before any per-kind rule could meet it.
+    rng = np.random.default_rng(31)
+    net = Network(
+        layers=(factories.dense_layer(rng, 5, 4), Layer(kind="Softmax"), factories.dense_layer(rng, 3, 5)),
+        frl_index=0,
+    )
+    plan = manual_plan([PlanEntry(0, np.ones(5), np.ones(5, dtype=np.uint8))])
+    with pytest.raises(ShapeError, match="unknown layer kind 'Softmax'"):
+        apply_plan(net, plan)
+    with pytest.raises(ShapeError, match="unknown layer kind 'Softmax'"):
+        nisp_backward(net, np.ones(5), PruneConfig())
+
+
 def test_conv_mask_must_be_channel_constant():
     rng = np.random.default_rng(29)
     g = Geometry(x=2, y=2, k=1, s=1, p=0, c_in=1, c_out=2)

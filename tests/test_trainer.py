@@ -6,7 +6,7 @@ import oracles
 from nisprune import engine
 from nisprune.datasets import Dataset
 from nisprune.errors import ConfigError, DataError
-from nisprune.model import save_model
+from nisprune.model import Layer, Network, save_model
 from nisprune.propagation import PruneConfig
 from nisprune.surgery import apply_plan, nisp_plan
 from nisprune.trainer import (
@@ -81,6 +81,21 @@ def test_zero_learning_rate_keeps_weights_and_flattens_curve():
     assert len(curve.train_loss) == 3
     assert curve.train_loss[0] == curve.train_loss[1] == curve.train_loss[2]
     assert curve.eval_accuracy[0] == curve.eval_accuracy[2]
+
+
+def test_train_leaves_the_input_net_unchanged():
+    # train reads the input's arrays without copying them, so no update may
+    # write into them.
+    rng = np.random.default_rng(6)
+    net = Network(
+        layers=(factories.dense_layer(rng, 6, 4), Layer(kind="Activation", activation="Tanh"),
+                factories.dense_layer(rng, 2, 6)),
+        frl_index=1,
+    )
+    before = save_model(net)
+    trained, _ = train(net, blob_data(), TrainConfig(learning_rate=0.5, epochs=3, batch_size=8, seed=0))
+    assert save_model(net) == before
+    assert save_model(trained) != before
 
 
 def test_zero_epochs_is_identity():
