@@ -99,17 +99,24 @@ def _conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     _check_spatial(layer, x, "conv")
     g = layer.geometry
     span = g.s * (g.y - 1) + 1
-    # Terms in the channel-major (c_in, k, k) order of kern_cm, each
-    # vectorised over (samples x c_out x y x y); see _ordered_sum.
-    kern_cm = np.ascontiguousarray(layer.weights.transpose(2, 0, 1, 3)).reshape(-1, g.c_out, 1, 1)
+    # Terms in the channel-major (c_in, k, k) order of kern_cm; see
+    # _ordered_sum. Each term copies its window slice into one flat row of
+    # samples x y x y values and multiplies it by the term's c_out weights: a
+    # broadcast product pays per inner row, so the rows are made long.
+    kern_cm = np.ascontiguousarray(layer.weights.transpose(2, 0, 1, 3)).reshape(-1, g.c_out, 1)
 
     def block(xb):
         xp = np.pad(xb, ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
-        term = np.empty((len(xb), g.c_out, g.y, g.y))
-        return _ordered_sum(
-            np.multiply(xp[:, c, None, di : di + span : g.s, dj : dj + span : g.s], kern, out=term)
-            for (c, di, dj), kern in zip(np.ndindex(g.c_in, g.k, g.k), kern_cm)
-        )
+        window = np.empty((len(xb), g.y, g.y))
+        term = np.empty((g.c_out, window.size))
+
+        def products():
+            for (c, di, dj), kern in zip(np.ndindex(g.c_in, g.k, g.k), kern_cm):
+                np.copyto(window, xp[:, c, di : di + span : g.s, dj : dj + span : g.s])
+                yield np.multiply(window.reshape(1, -1), kern, out=term)
+
+        acc = _ordered_sum(products()).reshape(g.c_out, len(xb), g.y, g.y)
+        return acc.transpose(1, 0, 2, 3)
 
     out = _by_blocks(block, x) + layer.bias[:, None, None]
     return apply_activation(layer.activation, out)

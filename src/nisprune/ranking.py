@@ -41,12 +41,17 @@ def spectral_radius(a: np.ndarray) -> float:
     and the shift subtracts back out at the end. Iteration stops once two
     estimates agree to 1e-13 relative, or after 10000 steps.
     """
-    a = np.asarray(a, dtype=float)
+    # b takes a's layout, and b @ v must see a C-ordered matrix.
+    a = np.ascontiguousarray(a, dtype=float)
     n = a.shape[0]
-    shift = np.abs(a).sum(axis=1).max()
+    b = np.abs(a)
+    shift = b.sum(axis=1).max()
     if shift == 0.0:
         return 0.0
-    b = a + shift * np.eye(n)
+    # b = a + shift * I in b's memory, entry for entry: adding shift * 0.0
+    # off the diagonal also turns a -0.0 into 0.0.
+    np.add(a, shift * 0.0, out=b)
+    np.fill_diagonal(b, a.diagonal() + shift)
     v = np.full(n, 1.0 / np.sqrt(n))
     w = b @ v
     prev = np.inf
@@ -61,6 +66,26 @@ def spectral_radius(a: np.ndarray) -> float:
             break
         prev = lam
     return max(lam - shift, 0.0)
+
+
+def _correlation(resp: np.ndarray, std: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Pearson correlation of the columns, clipped to [-1, 1] and 0 wherever
+    a column is constant; ``scratch`` (n x n) holds the denominator."""
+    varying = std > 0
+    k = int(np.count_nonzero(varying))
+    if k == 0:
+        return np.zeros(scratch.shape)
+    sub = (resp - resp.mean(axis=0))[:, varying]
+    denom = np.outer(std[varying], std[varying], out=scratch[:k, :k])
+    denom *= len(resp)
+    rho = sub.T @ sub
+    np.divide(rho, denom, out=rho)
+    np.clip(rho, -1.0, 1.0, out=rho)
+    if k == len(std):
+        return rho
+    full = np.zeros(scratch.shape)
+    full[np.ix_(varying, varying)] = rho
+    return full
 
 
 def build_affinity(responses: np.ndarray, alpha: float = 0.5) -> AffinityGraph:
@@ -82,15 +107,18 @@ def build_affinity(responses: np.ndarray, alpha: float = 0.5) -> AffinityGraph:
     top = std.max()
     sig = std / top if top > 0 else np.zeros(n)
 
-    centered = resp - resp.mean(axis=0)
-    rho = np.zeros((n, n))
-    varying = std > 0
-    if varying.any():
-        sub = centered[:, varying]
-        denom = m * np.outer(std[varying], std[varying])
-        rho[np.ix_(varying, varying)] = np.clip((sub.T @ sub) / denom, -1.0, 1.0)
-
-    a = alpha * np.maximum.outer(sig, sig) + (1.0 - alpha) * (1.0 - np.abs(rho))
+    # Each n x n array is allocated once and worked on in place, rounding
+    # every entry as the plain expressions in the module docstring would:
+    # (1 - alpha) * (1 - |rho|) in rho's memory, alpha * max(sig_i, sig_j) in a's.
+    a = np.empty((n, n))
+    rho = _correlation(resp, std, a)
+    np.abs(rho, out=rho)
+    np.subtract(1.0, rho, out=rho)
+    rho *= 1.0 - alpha
+    np.maximum.outer(sig, sig, out=a)
+    a *= alpha
+    a += rho
+    del rho  # freed before spectral_radius allocates its own n x n array
     np.fill_diagonal(a, 0.0)
 
     radius = spectral_radius(a)
@@ -101,7 +129,11 @@ def build_affinity(responses: np.ndarray, alpha: float = 0.5) -> AffinityGraph:
 def inffs_scores(graph: AffinityGraph) -> np.ndarray:
     """Row sums of (I - rA)^{-1} - I, one nonnegative score per feature."""
     n = graph.a.shape[0]
-    system = np.eye(n) - graph.r * graph.a
+    # I - rA entry for entry: 0.0 - r * a_ij off the diagonal, 1.0 - r * a_ii
+    # on it. Negating r * a instead would turn a 0.0 into -0.0.
+    system = np.multiply(graph.r, graph.a)
+    np.subtract(0.0, system, out=system)
+    np.fill_diagonal(system, 1.0 - graph.r * graph.a.diagonal())
     try:
         walks = np.linalg.solve(system, np.ones(n)) - 1.0
     except np.linalg.LinAlgError as e:

@@ -78,8 +78,8 @@ def pool_layer(rng, geometry, mode=None):
 
 
 def lrn_layer(rng, c, x):
-    odd_sizes = [l for l in (1, 3, 5) if l <= c]
-    size = int(rng.choice(odd_sizes))
+    # Windows may be wider than the channels, as surgery leaves them.
+    size = int(rng.choice((1, 3, 5)))
     return Layer(
         kind="LRN",
         geometry=Geometry(x=x, y=x, k=1, s=1, p=0, c_in=c, c_out=c),

@@ -106,6 +106,22 @@ def dense_forward_loop(layer, x):
     return engine.apply_activation(layer.activation, acc + layer.bias)
 
 
+def conv_forward_loop(layer, x):
+    """Conv layer over a (n, c_in, x, x) batch with one (n, c_out, y, y)
+    product per kernel tap, taken channel-major over (c_in, k, k) and added
+    first to last; the first product seeds the sum. This is the summation
+    order the engine's conv kernel must reproduce byte for byte, whatever
+    layout its products take."""
+    g = layer.geometry
+    span = g.s * (g.y - 1) + 1
+    xp = np.pad(np.asarray(x, dtype=float), ((0, 0), (0, 0), (g.p, g.p), (g.p, g.p)))
+    acc = None
+    for c, di, dj in np.ndindex(g.c_in, g.k, g.k):
+        term = xp[:, c, None, di : di + span : g.s, dj : dj + span : g.s] * layer.weights[di, dj, c][:, None, None]
+        acc = term if acc is None else acc + term
+    return engine.apply_activation(layer.activation, acc + layer.bias[:, None, None])
+
+
 # The window loops the library used before its window_index table, kept as
 # references for the exact summation order: the table-based kernels must
 # match them byte for byte, not just to a tolerance.
@@ -205,6 +221,58 @@ def affinity_brute(resp, alpha):
                 rho = max(-1.0, min(1.0, rho))
             a[i, j] = alpha * max(sig[i], sig[j]) + (1 - alpha) * (1 - abs(rho))
     return a
+
+
+# The ranking's plain expressions as they were before the library built its
+# n x n arrays in place, kept as references for the exact bits: the graph,
+# its damping and the scores must match them byte for byte.
+
+def spectral_radius_expr(a):
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    shift = np.abs(a).sum(axis=1).max()
+    if shift == 0.0:
+        return 0.0
+    b = a + shift * np.eye(n)
+    v = np.full(n, 1.0 / np.sqrt(n))
+    w = b @ v
+    prev = np.inf
+    for _ in range(10000):
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        w = b @ v
+        lam = float(v @ w)
+        if abs(lam - prev) <= 1e-13 * max(1.0, abs(lam)):
+            break
+        prev = lam
+    return max(lam - shift, 0.0)
+
+
+def affinity_expr(resp, alpha):
+    """(a, r) of the affinity graph of a (samples x features) matrix."""
+    m, n = resp.shape
+    std = resp.std(axis=0)
+    top = std.max()
+    sig = std / top if top > 0 else np.zeros(n)
+    centered = resp - resp.mean(axis=0)
+    rho = np.zeros((n, n))
+    varying = std > 0
+    if varying.any():
+        sub = centered[:, varying]
+        denom = m * np.outer(std[varying], std[varying])
+        rho[np.ix_(varying, varying)] = np.clip((sub.T @ sub) / denom, -1.0, 1.0)
+    a = alpha * np.maximum.outer(sig, sig) + (1.0 - alpha) * (1.0 - np.abs(rho))
+    np.fill_diagonal(a, 0.0)
+    radius = spectral_radius_expr(a)
+    return a, (0.9 / radius if radius > 0 else 0.9)
+
+
+def inffs_expr(a, r):
+    n = a.shape[0]
+    walks = np.linalg.solve(np.eye(n) - r * a, np.ones(n)) - 1.0
+    return np.maximum(walks, 0.0)
 
 
 def masked_forward(net, x, masks):

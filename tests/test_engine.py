@@ -222,3 +222,37 @@ def test_dense_forward_matches_one_term_loop_bytewise(rows):
         layer = Layer(kind="Dense", weights=w, bias=rng.standard_normal(n_out), activation="Tanh")
         got = engine.batch_forward(Network(layers=(layer,), frl_index=0), x)[-1]
         assert got.tobytes() == oracles.dense_forward_loop(layer, x).tobytes()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, engine.SAMPLE_BLOCK, engine.SAMPLE_BLOCK + 1, 2 * engine.SAMPLE_BLOCK + 2]),
+    st.sampled_from(factories.ACTS),
+)
+@settings(max_examples=60, deadline=None)
+def test_conv_forward_matches_tap_loop_bytewise(k, s, data, seed, batch, activation):
+    # The conv kernel lays its products out as (c_out, samples x y x y) rows;
+    # every output must still be the same products added in the same order,
+    # down to the sign of a zero, in any sample block.
+    p = data.draw(st.integers(0, k - 1))
+    x = data.draw(st.integers(max(1, k - 2 * p), 7))
+    c_in, c_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    g = Geometry(x=x, y=(x + 2 * p - k) // s + 1, k=k, s=s, p=p, c_in=c_in, c_out=c_out)
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(shape):
+        v = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+        u = rng.random(shape)
+        v[u < 0.15] = 0.0
+        v[u > 0.85] = -0.0
+        return v
+
+    layer = Layer(kind="Conv2D", weights=signed_zeros((k, k, c_in, c_out)), bias=signed_zeros(c_out),
+                  geometry=g, activation=activation)
+    xs = signed_zeros((batch, c_in, x, x))
+    got = engine.batch_forward(Network(layers=(layer,), frl_index=0), xs)[-1]
+    want = oracles.conv_forward_loop(layer, xs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,3 +201,72 @@ def test_affinity_entries_bounded(seed, alpha):
     graph = build_affinity(resp, alpha=alpha)
     assert np.all(graph.a >= 0)
     assert np.all(graph.a <= 1.0 + 1e-12)
+
+
+def _signed_zero_responses(rng, m, n, constant):
+    resp = rng.standard_normal((m, n))
+    u = rng.random((m, n))
+    resp[u < 0.1] = 0.0
+    resp[u > 0.9] = -0.0
+    # Copied and scaled columns put |rho| at 1, where the clip decides.
+    resp[:, 3] = resp[:, 1]
+    resp[:, 4] = -3.0 * resp[:, 1]
+    for j in constant:
+        resp[:, j] = (0.0, -0.0, 7.0)[j % 3]
+    return resp
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n,constant", [
+    (5, ()), (70, ()),                              # every column varies
+    (5, (2,)), (70, (0, 1, 33, 34, 35, 69)),        # some columns are constant
+    (5, range(5)), (70, range(70)),                 # every column is constant
+])
+def test_ranking_matches_plain_expressions_bytewise(n, constant, alpha):
+    # The graph is built in place; every entry, the damping and the scores
+    # must keep the plain expressions' rounding, down to the sign of a zero.
+    rng = np.random.default_rng(n + len(constant))
+    resp = _signed_zero_responses(rng, 30, n, constant)
+    graph = build_affinity(resp, alpha=alpha)
+    want_a, want_r = oracles.affinity_expr(resp, alpha)
+    assert graph.a.tobytes() == want_a.tobytes()
+    assert np.float64(graph.r).tobytes() == np.float64(want_r).tobytes()
+    assert inffs_scores(graph).tobytes() == oracles.inffs_expr(want_a, want_r).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 70])
+def test_radius_and_scores_match_plain_expressions_on_any_symmetric_matrix(n):
+    # Both functions are public and take more than a built graph: a nonzero
+    # diagonal and entries of -0.0 must round as the plain expressions do.
+    rng = np.random.default_rng(n)
+    a = np.abs(rng.standard_normal((n, n)))
+    a = (a + a.T) / 2
+    zero = np.triu(rng.random((n, n)) < 0.3, 1)
+    a[zero | zero.T] = -0.0
+    every_other = np.arange(0, n, 2)
+    a[every_other, every_other] = -0.0
+    radius = spectral_radius(a)
+    assert np.float64(radius).tobytes() == np.float64(oracles.spectral_radius_expr(a)).tobytes()
+    for r in (0.9 / radius, -0.5 / radius):
+        got = inffs_scores(AffinityGraph(a=a, r=r, alpha=0.5))
+        assert got.tobytes() == oracles.inffs_expr(a, r).tobytes()
+
+
+def test_wide_graph_holds_few_feature_by_feature_arrays():
+    # A 2048-feature conv layer makes 32 MB per n x n array, so the graph is
+    # built in at most three of them and the scores add at most one more.
+    n = 512
+    resp = np.random.default_rng(3).standard_normal((64, n))
+    matrix = n * n * 8
+    tracemalloc.start()
+    try:
+        graph = build_affinity(resp)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        inffs_scores(graph)
+        scores_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 3 * matrix, build_peak / matrix
+    assert scores_peak <= 1.5 * matrix, scores_peak / matrix
