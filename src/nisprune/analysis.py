@@ -15,7 +15,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, DataError, ShapeError
 from .model import Network, layer_params, output_shapes, shape_size
-from .propagation import bp_matrix
+from .propagation import bp_matrix, final_importance
 
 _EPS = 1e-12
 
@@ -117,11 +117,7 @@ class BoundContext:
                 raise ConfigError("layer %d: max-pooling in the tail is not linear" % i)
 
         shapes = output_shapes(net)
-        s_n = np.asarray(s_n, dtype=float).ravel()
-        if s_n.shape[0] != shape_size(shapes[net.frl_index]):
-            raise ShapeError("importance length %d does not match the final response" % s_n.shape[0])
-        if np.any(s_n < 0):
-            raise ShapeError("importance scores must be non-negative")
+        s_n = final_importance(net, shapes, s_n)
 
         if trace is None:
             trace = engine.batch_forward(net, inputs, 0, net.frl_index)
@@ -138,10 +134,8 @@ class BoundContext:
                 c_sigma *= engine.activation_lipschitz(layer.activation)
                 continue
             if layer.kind == "BatchNorm":
-                scale = np.abs(layer.weights)
-                if len(shapes[i - 1]) == 3:
-                    scale = np.repeat(scale, shapes[i - 1][1] * shapes[i - 1][2])
-                r = scale * r
+                # One scale entry per channel, repeated over its positions.
+                r = np.repeat(np.abs(layer.weights), shape_size(shapes[i]) // len(layer.weights)) * r
                 continue
             if layer.kind in ("Dense", "Conv2D"):
                 c_sigma *= engine.activation_lipschitz(layer.activation)

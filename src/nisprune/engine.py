@@ -149,14 +149,13 @@ def _lrn_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 
 
 def _batchnorm_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    # A vector is the channels of one position; a tensor repeats each
+    # channel's scale and shift over its positions.
     scale, shift = layer.weights, layer.bias
-    if x.ndim == 2:
-        if x.shape[1] != scale.shape[0]:
-            raise ShapeError("batch-norm over %d entries got %d" % (scale.shape[0], x.shape[1]))
-        return scale * x + shift
-    if x.ndim == 4 and x.shape[1] == scale.shape[0]:
-        return scale[:, None, None] * x + shift[:, None, None]
-    raise ShapeError("batch-norm over %d entries cannot consume %r" % (scale.shape[0], x.shape[1:]))
+    if x.ndim not in (2, 4) or x.shape[1] != scale.shape[0]:
+        raise ShapeError("batch-norm over %d entries cannot consume %r" % (scale.shape[0], x.shape[1:]))
+    per_channel = (-1,) + (1,) * (x.ndim - 2)
+    return scale.reshape(per_channel) * x + shift.reshape(per_channel)
 
 
 _KERNELS = {

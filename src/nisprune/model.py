@@ -106,6 +106,7 @@ class Network:
 class ValidationReport:
     ok: bool
     violations: list  # (layer_id, message), layer_id -1 for network-level
+    shapes: list  # response shape per layer, None from the first that cannot be formed
 
 
 def shape_size(shape) -> int:
@@ -195,26 +196,22 @@ def _layer_messages(layer: Layer) -> list:
 
 
 def input_shape(net: Network):
-    """Shape the network consumes, inferred from its first layer."""
+    """Shape the network consumes, inferred from its first layer, which must
+    pass ``_layer_messages``."""
     first = net.layers[0]
     if first.kind == "Dense":
-        if first.weights is None or first.weights.ndim != 2:
-            raise ShapeError("first dense layer has no usable weight matrix")
         return (first.weights.shape[1],)
     if first.kind in ("Conv2D", "Pool2D", "LRN"):
         g = first.geometry
-        if g is None:
-            raise ShapeError("first spatial layer has no geometry")
         return (g.c_in, g.x, g.x)
     raise ShapeError("cannot infer the input shape from a %s first layer" % first.kind)
 
 
 def layer_out_shape(layer: Layer, in_shape):
-    """Shape produced by ``layer`` given ``in_shape``; raises ShapeError."""
+    """Shape produced by ``layer``, which must pass ``_layer_messages``, given
+    ``in_shape``; raises ShapeError."""
     if layer.kind == "Dense":
         w = layer.weights
-        if w is None or w.ndim != 2:
-            raise ShapeError("dense layer has no usable weight matrix")
         if shape_size(in_shape) != w.shape[1]:
             raise ShapeError(
                 "dense layer expects %d inputs, got shape %r" % (w.shape[1], (in_shape,))
@@ -222,9 +219,7 @@ def layer_out_shape(layer: Layer, in_shape):
         return (w.shape[0],)
     if layer.kind in ("Conv2D", "Pool2D", "LRN"):
         g = layer.geometry
-        if g is None:
-            raise ShapeError("%s layer has no geometry" % layer.kind)
-        if len(in_shape) != 3 or in_shape != (g.c_in, g.x, g.x):
+        if in_shape != (g.c_in, g.x, g.x):
             raise ShapeError(
                 "%s layer expects a (%d, %d, %d) tensor, got %r"
                 % (layer.kind, g.c_in, g.x, g.x, (in_shape,))
@@ -233,33 +228,19 @@ def layer_out_shape(layer: Layer, in_shape):
             return in_shape
         return (g.c_out, g.y, g.y)
     if layer.kind == "BatchNorm":
-        w = layer.weights
-        if w is None or w.ndim != 1:
-            raise ShapeError("batch-norm layer has no usable scale vector")
-        width = w.shape[0]
-        if len(in_shape) == 1 and in_shape[0] == width:
-            return in_shape
-        if len(in_shape) == 3 and in_shape[0] == width:
-            return in_shape
-        raise ShapeError(
-            "batch-norm over %d entries cannot consume shape %r" % (width, (in_shape,))
-        )
-    if layer.kind == "Activation":
-        return in_shape
-    raise ShapeError("unknown layer kind %r" % (layer.kind,))
+        # A scale vector holds one entry per channel of one position.
+        width = layer.weights.shape[0]
+        if len(in_shape) not in (1, 3) or in_shape[0] != width:
+            raise ShapeError(
+                "batch-norm over %d entries cannot consume shape %r" % (width, (in_shape,))
+            )
+    return in_shape  # BatchNorm or Activation
 
 
 def output_shapes(net: Network) -> list:
-    """Response shape of every layer, in order."""
-    shapes = []
-    cur = input_shape(net)
-    for i, layer in enumerate(net.layers):
-        try:
-            cur = layer_out_shape(layer, cur)
-        except ShapeError as e:
-            raise ShapeError("layer %d: %s" % (i, e)) from e
-        shapes.append(cur)
-    return shapes
+    """Response shape of every layer, in order, as ``validate`` finds them;
+    raises ShapeError for a network that fails validation."""
+    return require_valid(net, "network fails validation").shapes
 
 
 def validate(net: Network) -> ValidationReport:
@@ -267,7 +248,7 @@ def validate(net: Network) -> ValidationReport:
     violations = []
     n = len(net.layers)
     if n == 0:
-        return ValidationReport(False, [(-1, "network has no layers")])
+        return ValidationReport(False, [(-1, "network has no layers")], [])
     # A one-layer net is its own final response layer; anything deeper keeps
     # the classifier after the FRL.
     frl_max = n - 2 if n > 1 else 0
@@ -279,22 +260,19 @@ def validate(net: Network) -> ValidationReport:
     for i, layer in enumerate(net.layers):
         for msg in _layer_messages(layer):
             violations.append((i, msg))
+    broken = {i for i, _ in violations}
 
-    # Walk shapes only while they remain well defined; one broken junction
-    # makes everything downstream unknowable.
+    # Walk shapes only while they remain well defined; one broken layer or
+    # junction makes everything downstream unknowable.
     shapes = [None] * n
-    try:
-        cur = input_shape(net)
-    except ShapeError as e:
-        violations.append((0, str(e)))
-    else:
-        for i, layer in enumerate(net.layers):
-            try:
-                cur = layer_out_shape(layer, cur)
-            except ShapeError as e:
-                violations.append((i, str(e)))
-                break
-            shapes[i] = cur
+    for i, layer in enumerate(net.layers):
+        if i in broken:
+            break
+        try:
+            shapes[i] = layer_out_shape(layer, shapes[i - 1] if i else input_shape(net))
+        except ShapeError as e:
+            violations.append((i, str(e)))
+            break
 
     for edge in net.skip_edges:
         if not (isinstance(edge, tuple) or isinstance(edge, list)) or len(edge) != 2:
@@ -309,15 +287,15 @@ def validate(net: Network) -> ValidationReport:
                 (dst, "skip edge (%d, %d) joins shapes %r and %r" % (src, dst, shapes[src], shapes[dst]))
             )
 
-    return ValidationReport(len(violations) == 0, violations)
+    return ValidationReport(len(violations) == 0, violations, shapes)
 
 
-def require_valid(net: Network, problem: str) -> Network:
-    """Return ``net``, or raise ShapeError naming ``problem`` and every violation."""
+def require_valid(net: Network, problem: str) -> ValidationReport:
+    """``validate(net)``, or raise ShapeError naming ``problem`` and every violation."""
     report = validate(net)
     if not report.ok:
         raise ShapeError(problem + ": " + "; ".join("layer %d: %s" % v for v in report.violations))
-    return net
+    return report
 
 
 def layer_params(layer: Layer) -> int:
@@ -512,14 +490,18 @@ def load_model(data) -> Network:
     if frl_index is None:
         raise ModelFormatError("model document needs frl_index")
 
+    edge_docs = doc.get("skip_edges", [])
+    if not isinstance(edge_docs, list):
+        raise ModelFormatError("skip_edges must be a list of [source, merge] pairs, got %r" % (edge_docs,))
     edges = []
-    for e in doc.get("skip_edges", []):
+    for e in edge_docs:
         if not isinstance(e, list) or len(e) != 2:
             raise ModelFormatError("skip edge %r is not a [source, merge] pair" % (e,))
         edges.append((_as_int(e[0], "skip edge source"), _as_int(e[1], "skip edge merge")))
 
     net = Network(layers=layers, frl_index=frl_index, skip_edges=tuple(edges))
-    return require_valid(net, "model document describes an inconsistent network")
+    require_valid(net, "model document describes an inconsistent network")
+    return net
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

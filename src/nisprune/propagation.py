@@ -407,6 +407,18 @@ class _MaskPicker:
         return plan
 
 
+def final_importance(net: Network, shapes: list, s_n) -> np.ndarray:
+    """``s_n`` flattened; raises ShapeError unless it holds one finite,
+    nonnegative entry per final response. ``shapes`` is ``output_shapes(net)``."""
+    s_n = np.asarray(s_n, dtype=float).ravel()
+    size = shape_size(shapes[net.frl_index])
+    if s_n.shape[0] != size:
+        raise ShapeError("importance length %d does not match the final response size %d" % (s_n.shape[0], size))
+    if not np.isfinite(s_n).all() or (s_n < 0).any():
+        raise ShapeError("importance scores must be finite and nonnegative")
+    return s_n
+
+
 def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> ImportancePlan:
     """One backward pass from the final response layer down to layer 0.
 
@@ -422,17 +434,7 @@ def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> Importance
     picker = _MaskPicker(net, cfg)
     shapes = output_shapes(net)
     frl = net.frl_index
-
-    s_n = np.asarray(s_n, dtype=float).ravel()
-    if s_n.shape[0] != shape_size(shapes[frl]):
-        raise ShapeError(
-            "importance length %d does not match the final response size %d"
-            % (s_n.shape[0], shape_size(shapes[frl]))
-        )
-    if not np.isfinite(s_n).all() or (s_n < 0).any():
-        raise ShapeError("importance scores must be finite and nonnegative")
-
-    incoming = {frl: s_n.copy()}
+    incoming = {frl: final_importance(net, shapes, s_n).copy()}
     for layer_id in range(frl, -1, -1):
         s = incoming.pop(layer_id, None)
         if s is None:
@@ -479,12 +481,7 @@ def importance_closed_form(net: Network, s_n: np.ndarray, layer_id: int) -> np.n
     frl = net.frl_index
     if not 0 <= layer_id <= frl:
         raise ConfigError("layer id %d outside 0..%d" % (layer_id, frl))
-    s = np.asarray(s_n, dtype=float).ravel()
-    if s.shape[0] != shape_size(shapes[frl]):
-        raise ShapeError(
-            "importance length %d does not match the final response size %d"
-            % (s.shape[0], shape_size(shapes[frl]))
-        )
+    s = final_importance(net, shapes, s_n)
     for i in range(frl, layer_id, -1):
         layer = net.layers[i]
         if layer.kind in ("BatchNorm", "Activation"):

@@ -107,15 +107,9 @@ def apply_plan(net: Network, plan: ImportancePlan):
             g = layer.geometry
             ch = int(channel_mask(own, g.c_out).sum())
             new = replace(layer, geometry=replace(g, c_in=ch, c_out=ch))
-        elif layer.kind == "BatchNorm":
-            if in_mask is None:
-                new = layer
-            elif len(shapes[i - 1]) == 3:
-                ch = np.flatnonzero(channel_mask(in_mask, shapes[i - 1][0]))
-                new = replace(layer, weights=layer.weights[ch].copy(), bias=layer.bias[ch].copy())
-            else:
-                keep = np.flatnonzero(in_mask)
-                new = replace(layer, weights=layer.weights[keep].copy(), bias=layer.bias[keep].copy())
+        elif layer.kind == "BatchNorm":  # never first: no input shape can be read off one
+            ch = np.flatnonzero(channel_mask(in_mask, len(layer.weights)))
+            new = replace(layer, weights=layer.weights[ch].copy(), bias=layer.bias[ch].copy())
         else:  # Activation; output_shapes above rejects unknown kinds
             new = layer
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import engine
 from .datasets import Dataset
 from .errors import ConfigError, DataError
-from .model import Layer, Network, require_valid
+from .model import Layer, Network, output_shapes, require_valid
 
 
 @dataclass(frozen=True)
@@ -79,39 +79,34 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     return Dataset(inputs=inputs[order], labels=labels[order])
 
 
-def _init_weights(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
 def make_mlp(dims, seed: int, hidden_activation: str = "ReLU", out_activation: str = "Identity") -> Network:
     """Dense stack with the given widths; the last hidden response is the FRL."""
     dims = [int(d) for d in dims]
     if len(dims) < 2:
         raise ConfigError("need an input width and at least one layer width")
-    rng = np.random.default_rng(seed)
-    layers = []
-    for i in range(len(dims) - 1):
-        last = i == len(dims) - 2
-        layers.append(
-            Layer(
-                kind="Dense",
-                weights=_init_weights(rng, dims[i + 1], dims[i]),
-                bias=np.zeros(dims[i + 1]),
-                activation=out_activation if last else hidden_activation,
-            )
-        )
-    return Network(layers=tuple(layers), frl_index=max(len(layers) - 2, 0))
+    # reinit draws every weight; these arrays only carry the shapes.
+    layers = tuple(
+        Layer(kind="Dense", weights=np.empty((dims[i + 1], dims[i])),
+              activation=out_activation if i == len(dims) - 2 else hidden_activation)
+        for i in range(len(dims) - 1)
+    )
+    return reinit(Network(layers=layers, frl_index=max(len(layers) - 2, 0)), seed)
 
 
 def reinit(net: Network, seed: int) -> Network:
-    """Same architecture, fresh dense weights, zero biases."""
+    """Same architecture, fresh dense weights, zero biases.
+
+    Each dense layer draws its weights, in order, uniformly from
+    +-sqrt(6 / (in + out)).
+    """
     rng = np.random.default_rng(seed)
     layers = []
     for layer in net.layers:
         if layer.kind == "Dense":
             out_dim, in_dim = layer.weights.shape
-            layers.append(replace(layer, weights=_init_weights(rng, out_dim, in_dim), bias=np.zeros(out_dim)))
+            limit = np.sqrt(6.0 / (in_dim + out_dim))
+            weights = rng.uniform(-limit, limit, size=(out_dim, in_dim))
+            layers.append(replace(layer, weights=weights, bias=np.zeros(out_dim)))
         else:
             layers.append(layer)
     return Network(layers=tuple(layers), frl_index=net.frl_index, skip_edges=net.skip_edges)
@@ -214,7 +209,7 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
     n = x.shape[0]
     if n == 0:
         raise DataError("training set is empty")
-    out_dim = net.layers[-1].weights.shape[0]
+    out_dim = output_shapes(net)[-1][0]
     if y.min() < 0 or y.max() >= out_dim:
         raise DataError("labels must lie in [0, %d)" % out_dim)
 

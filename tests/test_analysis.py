@@ -218,6 +218,8 @@ def test_bound_layer_range_and_shape_errors():
         verify_bound(net, xs, np.ones(4), np.ones(4), 0)
     with pytest.raises(ShapeError):
         verify_bound(net, xs, -np.ones(4), np.ones(5), 0)
+    with pytest.raises(ShapeError, match="finite and nonnegative"):
+        verify_bound(net, xs, np.array([1.0, np.nan, 1.0, 1.0]), np.ones(5), 0)
     with pytest.raises(ConfigError, match="trace"):
         BoundContext(net, xs, np.ones(4), 0, trace=engine.batch_forward(net, xs, 0, 0))
 

@@ -1,9 +1,13 @@
+import copy
 import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import factories
 import oracles
@@ -12,6 +16,9 @@ from nisprune.analysis import verify_bound
 from nisprune.datasets import Dataset, save_dataset
 from nisprune.errors import ConfigError
 from nisprune.model import (
+    ACTIVATION_KINDS,
+    KINDS,
+    POOL_MODES,
     Geometry,
     Layer,
     Network,
@@ -332,11 +339,13 @@ def test_compare_requires_labels(workspace):
     assert code == 3
 
 
-def _trained_model(tmp_path, dims, hidden_activation, seed):
+def _trained_model(tmp_path, dims, hidden_activation, seed, tail=None):
     data = synth_dataset(SynthSpec(n_classes=dims[-1], dim=dims[0], samples_per_class=15,
                                    cluster_spread=0.6, seed=seed))
     net, _ = train(make_mlp(dims, seed=seed, hidden_activation=hidden_activation), data,
                    TrainConfig(learning_rate=0.1, epochs=5, batch_size=16, seed=seed))
+    if tail is not None:
+        net = Network(layers=net.layers + (Layer(kind="Activation", activation=tail),), frl_index=net.frl_index)
     model_path = str(tmp_path / ("model%d.json" % seed))
     data_path = str(tmp_path / ("data%d.csv" % seed))
     write_model(net, model_path)
@@ -344,12 +353,14 @@ def _trained_model(tmp_path, dims, hidden_activation, seed):
     return model_path, data_path
 
 
-@pytest.mark.parametrize("dims, hidden_activation, seed", [
-    ([4, 8, 6, 3], "ReLU", 11),
-    ([5, 10, 8, 6, 4], "Tanh", 12),
-], ids=["relu-3-layer", "tanh-4-layer"])
-def test_compare_csv_matches_per_row_reference(tmp_path, dims, hidden_activation, seed):
-    model_path, data_path = _trained_model(tmp_path, dims, hidden_activation, seed)
+@pytest.mark.parametrize("dims, hidden_activation, seed, tail", [
+    ([4, 8, 6, 3], "ReLU", 11, None),
+    ([5, 10, 8, 6, 4], "Tanh", 12, None),
+    ([4, 5, 3], "ReLU", 13, "Sigmoid"),
+], ids=["relu-3-layer", "tanh-4-layer", "ends-in-activation-layer"])
+def test_compare_csv_matches_per_row_reference(tmp_path, dims, hidden_activation, seed, tail):
+    # The last case's output width comes from a dense layer below the last one.
+    model_path, data_path = _trained_model(tmp_path, dims, hidden_activation, seed, tail)
     argv = ["compare", "--model", model_path, "--data", data_path, "--out", str(tmp_path / "out"),
             "--ratio-all", "0.5", "--epochs", "2", "--seed", "3", "--seed", "4"]
     assert run(argv) == 0
@@ -532,6 +543,11 @@ def _edit_line(data, number, edit):
     return b"\n".join(lines)
 
 
+# Each is no list of edges, so none may be read as one.
+SKIP_EDGES_NOT_A_LIST = {"int": b"1", "float": b"0.5", "bool": b"true", "null": b"null",
+                         "string": b'"ab"', "object": b'{"0": 1}'}
+
+
 @pytest.mark.parametrize("which, corrupt", [
     ("model", lambda good: b"{ not json"),
     ("model", lambda good: b"\xff" + good),
@@ -539,7 +555,11 @@ def _edit_line(data, number, edit):
     ("csv", lambda good: _edit_line(
         good, 2, lambda line: b"0" * csv.field_size_limit() + b"1" + line[line.index(b","):])),
     ("model", lambda good: good.replace(b'"activation"', b'"activaton"', 1)),
-], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field", "model-misspelt-key"])
+] + [
+    ("model", lambda good, value=value: good.replace(b'"skip_edges": []', b'"skip_edges": ' + value))
+    for value in SKIP_EDGES_NOT_A_LIST.values()
+], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field", "model-misspelt-key"]
+    + ["skip-edges-%s" % name for name in SKIP_EDGES_NOT_A_LIST])
 def test_corrupt_input_exits_3(workspace, which, corrupt):
     paths = {"model": workspace["model"], "csv": workspace["csv"]}
     with open(paths[which], "rb") as fh:
@@ -577,3 +597,61 @@ def test_scratch_rows_ignore_pretrained_weights(workspace):
     # with zero epochs post == pre for both
     for row in rows.values():
         assert float(row[2]) == float(row[3])
+
+
+# --- model document fuzzing ----------------------------------------------------------
+
+def _fuzz_inputs():
+    """A model document with every layer kind and a skip edge, and data it reads."""
+    rng = np.random.default_rng(5)
+    layers = (
+        factories.conv_layer(rng, Geometry(x=3, y=2, k=2, s=1, p=0, c_in=1, c_out=2), "ReLU"),
+        Layer(kind="LRN", geometry=Geometry(x=2, y=2, k=1, s=1, p=0, c_in=2, c_out=2), lrn_local_size=3),
+        factories.batchnorm_layer(rng, 2),
+        Layer(kind="Pool2D", geometry=Geometry(x=2, y=1, k=2, s=2, p=0, c_in=2, c_out=2), pool_mode="avg"),
+        Layer(kind="Activation", activation="Tanh"),
+        factories.dense_layer(rng, 3, 2, "ReLU"),
+        factories.dense_layer(rng, 2, 3),
+    )
+    net = Network(layers=layers, frl_index=5, skip_edges=((1, 2),))
+    return json.loads(save_model(net)), Dataset(inputs=rng.standard_normal((6, 1, 3, 3)))
+
+
+def _paths(value, path=()):
+    """Every path to a value inside ``value``, each container before its items."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+FUZZ_DOC, FUZZ_DATA = _fuzz_inputs()
+# Every integer is small, so that no mutated geometry asks for a large array.
+FUZZ_VALUES = (-1, 0, 1, 2, 3, 5, 0.5, "x", None, [], {}, True, [[1.0]]) + KINDS + ACTIVATION_KINDS + POOL_MODES
+
+
+@given(st.lists(st.tuples(st.sampled_from(list(_paths(FUZZ_DOC))), st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=2))
+@example([])
+@settings(max_examples=150, deadline=None)
+def test_mutated_model_document_exits_0_2_or_3_and_fails_without_files(edits):
+    doc = copy.deepcopy(FUZZ_DOC)
+    for path, value in edits:
+        try:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed the path
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, data_path = os.path.join(tmp, "model.json"), os.path.join(tmp, "data.csv")
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        save_dataset(FUZZ_DATA, data_path)
+        for command in (["rank"], ["prune", "--ratio-all", "0.5"]):
+            out = os.path.join(tmp, command[0])
+            code = run([command[0], "--model", model_path, "--data", data_path, "--out", out] + command[1:])
+            assert code in ((0,) if not edits else (0, 2, 3))
+            if code:
+                assert not os.path.exists(out) or not os.listdir(out)

@@ -226,6 +226,45 @@ def test_load_model_shape_errors_surface():
         load_model(doc)
 
 
+@pytest.mark.parametrize("edges", [1, 0.5, True, None, "ab", {"0": 1}],
+                         ids=["int", "float", "bool", "null", "string", "object"])
+def test_skip_edges_must_be_a_list(edges):
+    doc = json.loads(save_model(Network(layers=(identity_dense(2), identity_dense(2)), frl_index=0)))
+    doc["skip_edges"] = edges
+    with pytest.raises(ModelFormatError, match="skip_edges must be a list"):
+        load_model(json.dumps(doc))
+
+
+# One broken form of each kind, and the one violation it has on its own.
+BROKEN_LAYERS = {
+    "dense-no-weights": (Layer(kind="Dense", bias=np.zeros(3)), "dense layer needs a 2-d weight matrix and 1-d bias"),
+    "dense-1d-weights": (Layer(kind="Dense", weights=np.ones(3), bias=np.zeros(3)),
+                         "dense layer needs a 2-d weight matrix and 1-d bias"),
+    "conv-no-geometry": (Layer(kind="Conv2D", weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1)),
+                         "conv layer needs geometry, kernel, and bias"),
+    "pool-no-geometry": (Layer(kind="Pool2D"), "pool layer needs geometry"),
+    "lrn-no-geometry": (Layer(kind="LRN", lrn_local_size=3), "LRN layer needs geometry"),
+    "batchnorm-2d-scale": (Layer(kind="BatchNorm", weights=np.ones((3, 1)), bias=np.zeros(3)),
+                           "batch-norm needs matching 1-d scale and shift"),
+    "unknown-kind": (Layer(kind="Softmax"), "unknown layer kind 'Softmax'"),
+}
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("form", list(BROKEN_LAYERS))
+def test_validate_reports_a_broken_layer_once(form, position):
+    broken, message = BROKEN_LAYERS[form]
+    layers = [identity_dense(3)] * 3
+    layers[position] = broken
+    net = Network(layers=tuple(layers), frl_index=1)
+    report = validate(net)
+    assert not report.ok
+    assert report.violations == [(position, message)]
+    assert report.shapes == [(3,)] * position + [None] * (3 - position)
+    with pytest.raises(ShapeError, match="^network fails validation: layer %d: %s$" % (position, re.escape(message))):
+        output_shapes(net)
+
+
 def test_input_and_output_shapes():
     g = Geometry(x=4, y=2, k=3, s=1, p=0, c_in=2, c_out=3)
     net = Network(
@@ -238,7 +277,7 @@ def test_input_and_output_shapes():
     )
     assert validate(net).ok
     assert input_shape(net) == (2, 4, 4)
-    assert output_shapes(net) == [(3, 2, 2), (5,), (2,)]
+    assert output_shapes(net) == validate(net).shapes == [(3, 2, 2), (5,), (2,)]
     assert prunable_layer_ids(net) == [0, 1]
     assert layer_params(net.layers[0]) == 3 * 3 * 2 * 3 + 3
 

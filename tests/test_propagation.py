@@ -462,6 +462,10 @@ def test_closed_form_validation():
         importance_closed_form(chain, np.ones(6), 2)
     with pytest.raises(ShapeError):
         importance_closed_form(chain, np.ones(5), 0)
+    with pytest.raises(ShapeError, match="finite and nonnegative"):
+        importance_closed_form(chain, np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]), 0)
+    with pytest.raises(ShapeError, match="finite and nonnegative"):
+        importance_closed_form(chain, np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0]), 0)
     assert np.array_equal(importance_closed_form(chain, np.ones(6), 1), np.ones(6))
 
 
