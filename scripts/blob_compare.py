@@ -18,13 +18,13 @@ from nisprune.surgery import apply_plan, lbl_plan, magnitude_plan, nisp_plan, ra
 from nisprune.trainer import SynthSpec, TrainConfig, finetune, make_mlp, synth_dataset, train
 
 
-def build_plan(strategy, net, inputs, cfg, alpha, seed):
+def build_plan(strategy, net, trace, cfg, alpha, seed):
     if strategy == "nisp":
-        return nisp_plan(net, inputs, cfg, alpha=alpha)
+        return nisp_plan(net, trace, cfg, alpha=alpha)
     if strategy == "nisp-var":
-        return nisp_plan(net, inputs, cfg, alpha=1.0)
+        return nisp_plan(net, trace, cfg, alpha=1.0)
     if strategy == "lbl":
-        return lbl_plan(net, inputs, cfg, alpha=alpha)
+        return lbl_plan(net, trace, cfg, alpha=alpha)
     if strategy == "nisp-mag":
         return magnitude_plan(net, cfg)
     return random_plan(net, cfg, seed=seed)
@@ -58,8 +58,9 @@ def main(argv=None):
         tc = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch, seed=seed)
         trained, _ = train(net, data, tc)
         base_acc = engine.accuracy(trained, data.inputs, data.labels)
+        trace = engine.batch_forward(trained, data.inputs, 0, trained.frl_index)
         for strategy in strategies:
-            plan = build_plan(strategy, trained, data.inputs, cfg, args.alpha, seed)
+            plan = build_plan(strategy, trained, trace, cfg, args.alpha, seed)
             pruned, _ = apply_plan(trained, plan)
             pre = engine.accuracy(pruned, data.inputs, data.labels)
             tuned, _ = finetune(pruned, data, tc)

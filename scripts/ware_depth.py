@@ -86,7 +86,7 @@ def main(argv=None):
                 net, xs, trace, resp, s_n = cases[depth, seed]
                 cfg = PruneConfig(ratios={i: keep for i in range(depth)})
                 guided = nisp_backward(net, s_n, cfg)
-                local = lbl_plan(net, xs, cfg, alpha=args.alpha, trace=trace)
+                local = lbl_plan(net, trace, cfg, alpha=args.alpha)
                 w_g, w_l = [
                     ware_of_responses(resp, engine.batch_responses(apply_plan(net, plan)[0], xs, net.frl_index),
                                       s_n, plan.mask(net.frl_index))

@@ -68,60 +68,4 @@ from .trainer import (
     train,
 )
 
-__all__ = [
-    "AffinityGraph",
-    "BoundContext",
-    "BoundReport",
-    "ConfigError",
-    "CostReport",
-    "DataError",
-    "Dataset",
-    "Geometry",
-    "ImportancePlan",
-    "Layer",
-    "LearningCurve",
-    "ModelFormatError",
-    "Network",
-    "NispruneError",
-    "PcaEnergy",
-    "PlanEntry",
-    "PruneConfig",
-    "ShapeError",
-    "SurgeryReport",
-    "SynthSpec",
-    "TrainConfig",
-    "accuracy",
-    "apply_plan",
-    "build_affinity",
-    "count_cost",
-    "effective_masks",
-    "finetune",
-    "forward",
-    "importance_closed_form",
-    "inffs_scores",
-    "lbl_plan",
-    "load_dataset",
-    "load_model",
-    "magnitude_plan",
-    "magnitude_scores",
-    "make_mlp",
-    "nisp_backward",
-    "nisp_plan",
-    "pca_energy",
-    "plan_from_json",
-    "plan_to_json",
-    "random_plan",
-    "read_model",
-    "reinit",
-    "save_dataset",
-    "save_model",
-    "synth_dataset",
-    "top1_agreement",
-    "train",
-    "validate",
-    "verify_bound",
-    "ware",
-    "write_model",
-]
-
 __version__ = "0.1.0"

@@ -90,18 +90,17 @@ class BoundContext:
     Lipschitz constants, and C_x = max_i sum_m |x_m[i]| over the layer's
     responses x_m.
 
-    Building the context checks the tail, runs the forward to the final
-    response layer, and computes r, C_sigma and C_x; ``check`` then costs one
-    pass of the masked tail per keep mask. ``trace``, when given, must be
-    ``engine.batch_forward(net, inputs, 0, end)`` for some end at or above the
-    final response layer; it replaces the context's own forward.
+    ``trace`` is ``engine.batch_forward(net, inputs, 0, end)`` for some end
+    at or above the final response layer. Building the context checks the
+    tail and computes r, C_sigma and C_x; ``check`` then costs one pass of
+    the masked tail per keep mask.
 
     The tail must be a chain of dense, conv, average-pool, batch-norm, and
     activation layers; max-pooling and LRN have no linear envelope of this
     form and are rejected, as are skip edges meeting the tail.
     """
 
-    def __init__(self, net: Network, inputs, s_n, layer_id: int, trace=None):
+    def __init__(self, net: Network, trace, s_n, layer_id: int):
         if not 0 <= layer_id < net.frl_index:
             raise ConfigError(
                 "bound needs a layer strictly below the final response layer, got %d" % layer_id
@@ -119,9 +118,7 @@ class BoundContext:
         shapes = output_shapes(net)
         s_n = final_importance(net, shapes, s_n)
 
-        if trace is None:
-            trace = engine.batch_forward(net, inputs, 0, net.frl_index)
-        elif len(trace) < net.frl_index + 2:
+        if len(trace) < net.frl_index + 2:
             raise ConfigError("trace stops below the final response layer")
 
         # r = |W_{l+1}|^T ... |W_n|^T s_n, with batch-norm contributing |scale|
@@ -202,11 +199,12 @@ class BoundContext:
 def verify_bound(net: Network, inputs, s_n, keep_mask, layer_id: int) -> BoundReport:
     """Check the importance-weighted error bound for pruning at one layer.
 
-    One ``BoundContext(net, inputs, s_n, layer_id).check(keep_mask)``; see
-    ``BoundContext`` for the bound and the tails it accepts. To check many
-    masks at one layer, build the context once and call ``check`` per mask.
+    One ``BoundContext.check`` on a forward of ``inputs``; see ``BoundContext``
+    for the bound and the tails it accepts. To check many masks at one layer,
+    build the context once and call ``check`` per mask.
     """
-    return BoundContext(net, inputs, s_n, layer_id).check(keep_mask)
+    trace = engine.batch_forward(net, inputs, 0, net.frl_index)
+    return BoundContext(net, trace, s_n, layer_id).check(keep_mask)
 
 
 @dataclass

@@ -103,9 +103,11 @@ def _config_from_args(args):
     seeds = getattr(args, "seeds", None) or []
     if args.command in ("prune", "verify") and len(seeds) > 1:
         raise ConfigError("%s takes one --seed, got %d" % (args.command, len(seeds)))
-    repeated = [seed for seed in seeds if seeds.count(seed) > 1]
-    if repeated:
-        raise ConfigError("--seed %d is given more than once" % repeated[0])
+    layers = [layer_id for layer_id, _ in getattr(args, "ratio", None) or ()]
+    for flag, values in (("--seed", seeds), ("--ratio", layers)):
+        repeated = [v for v in values if values.count(v) > 1]
+        if repeated:
+            raise ConfigError("%s %d is given more than once" % (flag, repeated[0]))
     args.seeds = tuple(seeds) or (0,)
     if args.command == "compare":
         args.strategies = tuple(dict.fromkeys(args.strategies or STRATEGIES))
@@ -123,17 +125,14 @@ def _prune_config(net: Network, args) -> PruneConfig:
     return PruneConfig(ratios=ratios)
 
 
-def _frl_scores(frl_responses: np.ndarray, alpha: float) -> np.ndarray:
-    return ranking.inffs_scores(ranking.build_affinity(frl_responses, alpha))
-
-
-def _build_plan(net, data, pc, strategy, alpha, seed, trace=None) -> ImportancePlan:
+def _build_plan(net, trace, pc, strategy, alpha, seed) -> ImportancePlan:
+    """``trace`` reaches the FRL (see ``ranking.layer_scores``); only nisp and lbl read it."""
     if strategy == "nisp":
-        return surgery.nisp_plan(net, data.inputs, pc, alpha, trace=trace)
+        return surgery.nisp_plan(net, trace, pc, alpha)
     if strategy == "nisp-mag":
         return surgery.magnitude_plan(net, pc)
     if strategy == "lbl":
-        return surgery.lbl_plan(net, data.inputs, pc, alpha, trace=trace)
+        return surgery.lbl_plan(net, trace, pc, alpha)
     if strategy == "random":
         return surgery.random_plan(net, pc, seed)
     raise ConfigError("strategy %r does not produce a pruning plan" % strategy)
@@ -148,7 +147,7 @@ def cmd_rank(args) -> None:
     net, data = read_model(args.model), load_dataset(args.data)
     # One forward serves the FRL ranking and the per-layer PCA.
     trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
-    scores = _frl_scores(engine.flatten_responses(trace[-1]), args.alpha)
+    scores = ranking.layer_scores(trace, net.frl_index, args.alpha)
     lines = ["neuron_index,score"]
     for i in np.argsort(-scores, kind="stable"):
         lines.append("%d,%s" % (i, repr(float(scores[i]))))
@@ -167,7 +166,11 @@ def cmd_prune(args) -> None:
     if args.strategy == "scratch":
         raise ConfigError("scratch training has no pruning plan; use it with compare")
     pc = _prune_config(net, args)
-    plan = _build_plan(net, data, pc, args.strategy, args.alpha, args.seeds[0])
+    trace = None
+    if args.strategy in ("nisp", "lbl"):
+        trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
+    plan = _build_plan(net, trace, pc, args.strategy, args.alpha, args.seeds[0])
+    del trace
     pruned, report = surgery.apply_plan(net, plan)
     model_bytes = save_model(pruned)
     plan_bytes = plan_to_json(plan)
@@ -196,7 +199,7 @@ def cmd_compare(args) -> None:
         # built once for every seed.
         shared = None
         if strategy not in ("random", "scratch"):
-            shared = _build_plan(net, data, pc, strategy, args.alpha, None, trace=trace)
+            shared = _build_plan(net, trace, pc, strategy, args.alpha, None)
         for seed in args.seeds:
             train_cfg = trainer.TrainConfig(
                 learning_rate=args.learning_rate, epochs=args.epochs,
@@ -208,7 +211,7 @@ def cmd_compare(args) -> None:
                 pruned = trainer.reinit(skeleton, seed)
                 tuned, _ = trainer.train(pruned, data, train_cfg)
             else:
-                plan = shared or _build_plan(net, data, pc, strategy, args.alpha, seed)
+                plan = shared or _build_plan(net, trace, pc, strategy, args.alpha, seed)
                 pruned, _ = surgery.apply_plan(net, plan)
                 tuned, _ = trainer.finetune(pruned, data, train_cfg)
             # One forward per net serves every metric of the row.
@@ -244,8 +247,8 @@ def cmd_verify(args) -> None:
     # One forward serves the FRL ranking and the bound context, which checks
     # the layer and pays the mask-independent work once for every trial.
     trace = engine.batch_forward(net, data.inputs, 0, net.frl_index)
-    s_n = _frl_scores(engine.flatten_responses(trace[-1]), args.alpha)
-    bound = analysis.BoundContext(net, data.inputs, s_n, args.layer, trace=trace)
+    s_n = ranking.layer_scores(trace, net.frl_index, args.alpha)
+    bound = analysis.BoundContext(net, trace, s_n, args.layer)
     del trace
     width = bound.width
     keep = keep_count(width, fraction)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import atomic_write_bytes, atomic_write_text
+from .model import atomic_write_bytes, atomic_write_text, shape_size
 
 
 @dataclass
@@ -132,10 +132,15 @@ def load_dataset(csv_path: str) -> Dataset:
         try:
             with open(mpath, encoding="utf-8") as fh:
                 manifest = json.load(fh)
-            shape = tuple(int(v) for v in manifest["input_shape"])
+            shape = manifest["input_shape"]
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise DataError("bad manifest %s: %s" % (mpath, e)) from e
-    if shape is not None and int(np.prod(shape)) != values.shape[1]:
+        # bool is an int subclass, and JSON's true is no width.
+        if not (type(shape) is list and len(shape) in (1, 3) and all(type(v) is int and v > 0 for v in shape)):
+            raise DataError("bad manifest %s: input_shape must be a list of 1 or 3 positive integers, got %r"
+                            % (mpath, shape))
+        shape = tuple(shape)
+    if shape is not None and shape_size(shape) != values.shape[1]:
         raise DataError("manifest shape %r does not hold %d values" % (shape, values.shape[1]))
     if shape is not None and len(shape) == 3:
         values = values.reshape((len(values),) + shape)

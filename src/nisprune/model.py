@@ -14,6 +14,7 @@ exactly numpy's C-order ravel of a ``(c, x, x)`` array.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -110,10 +111,7 @@ class ValidationReport:
 
 
 def shape_size(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= int(d)
-    return n
+    return math.prod(map(int, shape))
 
 
 def _geometry_messages(g: Geometry) -> list:
@@ -300,12 +298,7 @@ def require_valid(net: Network, problem: str) -> ValidationReport:
 
 def layer_params(layer: Layer) -> int:
     """Parameter count: weights plus biases (scale and shift for batch-norm)."""
-    total = 0
-    if layer.weights is not None:
-        total += int(layer.weights.size)
-    if layer.bias is not None:
-        total += int(layer.bias.size)
-    return total
+    return sum(int(a.size) for a in (layer.weights, layer.bias) if a is not None)
 
 
 def prunable_layer_ids(net: Network) -> list:

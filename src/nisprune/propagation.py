@@ -266,7 +266,8 @@ def effective_masks(net: Network, plan: ImportancePlan) -> list:
 
     Prunable layers up to the FRL take their plan mask; everything else
     inherits from the layer below it (channel-wise across pooling). Layers
-    past the FRL always keep their own outputs.
+    past the FRL always keep their own outputs. Raises ConfigError when the
+    two ends of a skip edge keep different units.
     """
     shapes = output_shapes(net)
     prunable = set(prunable_layer_ids(net))
@@ -300,6 +301,13 @@ def effective_masks(net: Network, plan: ImportancePlan) -> list:
             masks.append(np.repeat(ch, g.y * g.y))
         else:  # Dense or Conv2D past the FRL: the classifier head keeps all
             masks.append(np.ones(shape_size(shapes[i]), dtype=np.uint8))
+    for src, dst in net.skip_edges:
+        if not np.array_equal(masks[src], masks[dst]):
+            raise ConfigError(
+                "skip edge (%d, %d) would join responses keeping different units (%d and %d kept); "
+                "a layer that owns no neurons keeps the units kept below it"
+                % (src, dst, masks[src].sum(), masks[dst].sum())
+            )
     return masks
 
 
@@ -389,21 +397,11 @@ class _MaskPicker:
         return entry
 
     def plan(self) -> ImportancePlan:
-        """The picked entries, once every skip edge joins equal keep sets.
-
-        A layer that owns no neurons takes the mask below it in surgery, so
-        an edge ending or starting at one can join a pruned response to a
-        whole one even after the forcing above.
-        """
+        """The picked entries, once ``effective_masks`` accepts them: an edge
+        ending or starting at a layer that owns no neurons can still join a
+        pruned response to a whole one after the forcing above."""
         plan = ImportancePlan(entries={lid: self.entries[lid] for lid in sorted(self.entries)})
-        masks = effective_masks(self.net, plan)
-        for src, dst in self.net.skip_edges:
-            if not np.array_equal(masks[src], masks[dst]):
-                raise ConfigError(
-                    "skip edge (%d, %d) would join responses keeping different units (%d and %d kept); "
-                    "a layer that owns no neurons keeps the units kept below it"
-                    % (src, dst, masks[src].sum(), masks[dst].sum())
-                )
+        effective_masks(self.net, plan)
         return plan
 
 

@@ -161,17 +161,18 @@ def magnitude_scores(net: Network, layer_id: int) -> np.ndarray:
     raise ConfigError("layer %d (%s) has no weights to rank" % (layer_id, layer.kind))
 
 
-def per_layer_scores(net: Network, inputs, alpha: float = 0.5, trace=None) -> dict:
+def layer_scores(trace, layer_id: int, alpha: float = 0.5) -> np.ndarray:
+    """Affinity scores of one layer's responses in ``trace``, which is
+    ``engine.batch_forward(net, inputs, 0, end)`` with end >= layer_id; the
+    plan builders, the bound and the CLI all rank a trace to the FRL."""
+    return inffs_scores(build_affinity(engine.flatten_responses(trace[layer_id + 1]), alpha))
+
+
+def per_layer_scores(net: Network, trace, alpha: float = 0.5) -> dict:
     """Independent affinity scores for every prunable layer's own responses.
 
     This deliberately ignores how a layer feeds later ones; it exists as the
-    layer-by-layer baseline against backward propagation. ``trace``, when
-    given, must be ``engine.batch_forward(net, inputs, 0, end)`` for some end
-    at or above the final response layer; it replaces the forward.
+    layer-by-layer baseline against backward propagation. ``trace`` must
+    reach the final response layer (see ``layer_scores``).
     """
-    if trace is None:
-        trace = engine.batch_forward(net, inputs, 0, net.frl_index)
-    return {
-        layer_id: inffs_scores(build_affinity(engine.flatten_responses(trace[layer_id + 1]), alpha))
-        for layer_id in prunable_layer_ids(net)
-    }
+    return {layer_id: layer_scores(trace, layer_id, alpha) for layer_id in prunable_layer_ids(net)}

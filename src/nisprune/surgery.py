@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
 from .model import (
     Network,
     layer_params,
@@ -40,7 +39,7 @@ from .propagation import (
     nisp_backward,
     plan_from_layer_scores,
 )
-from . import engine, ranking
+from . import ranking
 
 
 @dataclass
@@ -68,15 +67,6 @@ def apply_plan(net: Network, plan: ImportancePlan):
     """
     shapes = output_shapes(net)
     masks = effective_masks(net, plan)
-
-    for src, dst in net.skip_edges:
-        if not np.array_equal(masks[src], masks[dst]):
-            raise ShapeError(
-                "skip edge (%d, %d) would join a %d-unit response to a %d-unit one; "
-                "both ends must share one mask"
-                % (src, dst, int(masks[src].sum()), int(masks[dst].sum()))
-            )
-
     new_layers = []
     rows = []
     for i, layer in enumerate(net.layers):
@@ -131,18 +121,10 @@ def apply_plan(net: Network, plan: ImportancePlan):
 # ---------------------------------------------------------------------------
 # plan builders
 
-def nisp_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5, trace=None) -> ImportancePlan:
-    """Affinity-rank the final responses, then propagate backward.
-
-    ``trace``, when given, must be ``engine.batch_forward(net, inputs, 0, end)``
-    for some end at or above the final response layer; it replaces the
-    forward to that layer.
-    """
-    if trace is None:
-        trace = engine.batch_forward(net, inputs, 0, net.frl_index)
-    resp = engine.flatten_responses(trace[net.frl_index + 1])
-    s_n = ranking.inffs_scores(ranking.build_affinity(resp, alpha))
-    return nisp_backward(net, s_n, cfg)
+def nisp_plan(net: Network, trace, cfg: PruneConfig, alpha: float = 0.5) -> ImportancePlan:
+    """Affinity-rank the final responses in ``trace`` (see ``ranking.layer_scores``),
+    then propagate backward."""
+    return nisp_backward(net, ranking.layer_scores(trace, net.frl_index, alpha), cfg)
 
 
 def magnitude_plan(net: Network, cfg: PruneConfig) -> ImportancePlan:
@@ -151,13 +133,9 @@ def magnitude_plan(net: Network, cfg: PruneConfig) -> ImportancePlan:
     return nisp_backward(net, s_n, cfg)
 
 
-def lbl_plan(net: Network, inputs, cfg: PruneConfig, alpha: float = 0.5, trace=None) -> ImportancePlan:
-    """Rank every prunable layer independently; nothing propagates.
-
-    ``trace`` is passed on to ``ranking.per_layer_scores``.
-    """
-    scores = ranking.per_layer_scores(net, inputs, alpha, trace=trace)
-    return plan_from_layer_scores(net, cfg, scores)
+def lbl_plan(net: Network, trace, cfg: PruneConfig, alpha: float = 0.5) -> ImportancePlan:
+    """Rank every prunable layer independently on ``trace``; nothing propagates."""
+    return plan_from_layer_scores(net, cfg, ranking.per_layer_scores(net, trace, alpha))
 
 
 def random_plan(net: Network, cfg: PruneConfig, seed: int) -> ImportancePlan:

@@ -191,6 +191,7 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
     the evolving weights; accuracy is measured on the training data after the
     epoch finishes. Zero epochs returns the network unchanged with an empty
     curve; a zero learning rate leaves the weights where they started.
+    Training that ends on non-finite weights raises ConfigError.
     """
     if data.labels is None:
         raise DataError("training needs labeled data")
@@ -198,8 +199,8 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
         raise ConfigError("epochs must be non-negative")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be at least 1")
-    if cfg.learning_rate < 0:
-        raise ConfigError("learning_rate must be non-negative")
+    if not 0 <= cfg.learning_rate < np.inf:
+        raise ConfigError("learning_rate must be finite and non-negative")
     check_trainable(net)
 
     x = np.asarray(data.inputs, dtype=float)
@@ -232,6 +233,8 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
         logits, _ = _forward(acts, params, x)
         accs.append(float((logits.argmax(axis=1) == y).mean()))
 
+    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in filter(None, params)):
+        raise ConfigError("training diverged to non-finite weights; lower the learning rate")
     layers = tuple(layer if p is None else replace(layer, weights=p[0], bias=p[1])
                    for layer, p in zip(net.layers, params))
     trained = Network(layers=layers, frl_index=net.frl_index, skip_edges=net.skip_edges)

@@ -422,7 +422,8 @@ def compare_csv_reference(cfg):
                 pruned = trainer.reinit(skeleton, seed)
                 tuned, _ = trainer.train(pruned, data, train_cfg)
             else:
-                plan = cli._build_plan(net, data, pc, strategy, cfg.alpha, seed)
+                trace = engine.batch_forward(net, data.inputs, 0, frl)
+                plan = cli._build_plan(net, trace, pc, strategy, cfg.alpha, seed)
                 pruned, _ = surgery.apply_plan(net, plan)
                 tuned, _ = trainer.finetune(pruned, data, train_cfg)
             rows.append((
@@ -495,9 +496,14 @@ def load_dataset_reference(csv_path):
         try:
             with open(mpath) as fh:
                 manifest = json.load(fh)
-            shape = tuple(int(v) for v in manifest["input_shape"])
+            shape = manifest["input_shape"]
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise DataError("bad manifest %s: %s" % (mpath, e)) from e
+        if not (isinstance(shape, list) and len(shape) in (1, 3)
+                and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in shape)):
+            raise DataError("bad manifest %s: input_shape must be a list of 1 or 3 positive integers, got %r"
+                            % (mpath, shape))
+        shape = tuple(shape)
     if shape is not None and int(np.prod(shape)) != d:
         raise DataError("manifest shape %r does not hold %d values" % (shape, d))
     if shape is not None and len(shape) == 3:

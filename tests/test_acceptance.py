@@ -212,7 +212,8 @@ def test_guided_pruning_beats_random_on_blobs():
         cfg = TrainConfig(learning_rate=0.1, epochs=20, batch_size=32, seed=seed)
         trained, _ = train(net, data, cfg)
         ratios = PruneConfig(ratios={0: 0.5, 1: 0.5})
-        guided, _ = apply_plan(trained, nisp_plan(trained, data.inputs, ratios))
+        trace = engine.batch_forward(trained, data.inputs, 0, trained.frl_index)
+        guided, _ = apply_plan(trained, nisp_plan(trained, trace, ratios))
         blind, _ = apply_plan(trained, random_plan(trained, ratios, seed=seed))
         pre_g = engine.accuracy(guided, data.inputs, data.labels)
         pre_b = engine.accuracy(blind, data.inputs, data.labels)
@@ -285,7 +286,7 @@ def test_propagated_ware_beats_layer_local_with_depth():
                 s_n = inffs_scores(build_affinity(resp, 0.5))
                 cfg = PruneConfig(ratios={i: ratio for i in range(depth)})
                 guided = nisp_backward(net, s_n, cfg)
-                local = lbl_plan(net, xs, cfg)
+                local = lbl_plan(net, engine.batch_forward(net, xs, 0, net.frl_index), cfg)
                 g_net, _ = apply_plan(net, guided)
                 l_net, _ = apply_plan(net, local)
                 w_g = ware(net, g_net, xs, s_n, guided.mask(net.frl_index))

@@ -221,7 +221,7 @@ def test_bound_layer_range_and_shape_errors():
     with pytest.raises(ShapeError, match="finite and nonnegative"):
         verify_bound(net, xs, np.array([1.0, np.nan, 1.0, 1.0]), np.ones(5), 0)
     with pytest.raises(ConfigError, match="trace"):
-        BoundContext(net, xs, np.ones(4), 0, trace=engine.batch_forward(net, xs, 0, 0))
+        BoundContext(net, engine.batch_forward(net, xs, 0, 0), np.ones(4), 0)
 
 
 def _geometry_on(rng, c_in, x, c_out):
@@ -292,8 +292,8 @@ def test_bound_context_matches_reference(seed, first_tail, samples):
     s_n = np.abs(rng.standard_normal(shape_size(output_shapes(net)[net.frl_index])))
     s_n[rng.random(s_n.shape) < 0.2] = 0.0
     width = shape_size(output_shapes(net)[0])
-    own = BoundContext(net, xs, s_n, 0)
-    given_trace = BoundContext(net, xs, s_n, 0, trace=engine.batch_forward(net, xs))
+    own = BoundContext(net, engine.batch_forward(net, xs, 0, net.frl_index), s_n, 0)
+    given_trace = BoundContext(net, engine.batch_forward(net, xs), s_n, 0)
     for mask in (np.zeros(width), np.ones(width), (rng.random(width) < 0.5).astype(float)):
         want = oracles.verify_bound_reference(net, xs, s_n, mask, 0)
         for got in (own.check(mask), given_trace.check(mask), verify_bound(net, xs, s_n, mask, 0)):

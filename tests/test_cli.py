@@ -13,7 +13,7 @@ import factories
 import oracles
 from nisprune import cli, engine, ranking
 from nisprune.analysis import verify_bound
-from nisprune.datasets import Dataset, save_dataset
+from nisprune.datasets import Dataset, manifest_path_for, save_dataset
 from nisprune.errors import ConfigError
 from nisprune.model import (
     ACTIVATION_KINDS,
@@ -143,7 +143,9 @@ def test_prune_nisp_matches_library_plan(workspace):
     assert code == 0
     with open(os.path.join(workspace["out"], "plan.json"), "rb") as fh:
         got = plan_from_json(fh.read())
-    want = nisp_plan(workspace["net"], workspace["data"].inputs, PruneConfig(ratios={0: 0.5, 1: 0.5}))
+    net = workspace["net"]
+    trace = engine.batch_forward(net, workspace["data"].inputs, 0, net.frl_index)
+    want = nisp_plan(net, trace, PruneConfig(ratios={0: 0.5, 1: 0.5}))
     for layer_id in want.entries:
         assert np.array_equal(got.mask(layer_id), want.mask(layer_id))
         assert got.scores(layer_id) == pytest.approx(want.scores(layer_id))
@@ -280,6 +282,26 @@ def test_compare_rejects_a_repeated_seed(workspace):
     assert run(base + ["--seed", "1", "--seed", "2", "--seed", "1"]) == 2
     assert not os.path.exists(workspace["out"])
     assert run(base + ["--seed", "1", "--seed", "2"]) == 0
+
+
+def test_prune_rejects_a_repeated_ratio_layer(workspace, capsys):
+    base = ["prune", "--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"]]
+    assert run(base + ["--ratio", "0=0.5", "--ratio", "0=0.25"]) == 2
+    assert "--ratio 0 is given more than once" in capsys.readouterr().err
+    assert not os.path.exists(workspace["out"])
+    # --ratio after --ratio-all still overrides it for one layer.
+    assert run(base + ["--ratio-all", "0.25", "--ratio", "0=0.5"]) == 0
+    pruned = read_model(os.path.join(workspace["out"], "pruned_model.json"))
+    assert [layer.weights.shape[0] for layer in pruned.layers] == [4, 2, 3]
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "1e308"])
+def test_compare_rejects_a_non_finite_or_diverging_learning_rate(workspace, capsys, lr):
+    code = run(["compare", "--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"],
+                "--strategy", "nisp", "--epochs", "1", "--seed", "0", "--lr", lr])
+    assert code == 2
+    assert "learning" in capsys.readouterr().err
+    assert not os.path.exists(workspace["out"])
 
 
 # --- compare -----------------------------------------------------------------------
@@ -570,6 +592,23 @@ def test_corrupt_input_exits_3(workspace, which, corrupt):
     code = run(["rank", "--model", paths["model"], "--data", paths["csv"], "--out", workspace["out"]])
     assert code == 3
     assert not os.path.exists(workspace["out"])
+
+
+# Each loads a 4-column CSV as something other than what it says, or as
+# nothing a sample can be.
+BAD_INPUT_SHAPES = ["[2, 2]", "[-2, -2]", "[4.7]", "[true, 4]", '["4"]', "[1, 1, 2, 2]"]
+
+
+@pytest.mark.parametrize("shape", BAD_INPUT_SHAPES)
+def test_bad_manifest_input_shape_exits_3(workspace, shape):
+    args = ["rank", "--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"]]
+    with open(manifest_path_for(workspace["csv"]), "w") as fh:
+        fh.write('{"input_shape": %s}' % shape)
+    assert run(args) == 3
+    assert not os.path.exists(workspace["out"])
+    with open(manifest_path_for(workspace["csv"]), "w") as fh:
+        fh.write('{"input_shape": [4]}')
+    assert run(args) == 0
 
 
 def test_failure_leaves_no_partial_outputs(workspace):

@@ -185,7 +185,7 @@ def test_per_layer_scores_match_independent_ranking():
     rng = np.random.default_rng(19)
     net = factories.dense_chain(rng, [5, 8, 6, 3], activations=["Tanh", "Tanh", "Identity"])
     xs = rng.standard_normal((30, 5))
-    result = per_layer_scores(net, xs, alpha=0.5)
+    result = per_layer_scores(net, engine.batch_forward(net, xs, 0, net.frl_index), alpha=0.5)
     assert sorted(result) == [0, 1]
     for layer_id in (0, 1):
         resp = engine.batch_responses(net, xs, layer_id)

@@ -1,7 +1,9 @@
-"""The experiment scripts run end to end on tiny settings.
+"""The experiment scripts and the benchmark's output checks run end to end
+on tiny settings.
 
 Nothing else imports them, so a change to the package API they call would
-otherwise break them silently.
+otherwise break them silently: a script would fail when next run, and the
+benchmark would count every command as failed.
 """
 
 import csv
@@ -10,11 +12,15 @@ import os
 
 import pytest
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+from nisprune import cli, datasets, model
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
+BENCH = os.path.join(ROOT, "bench")
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+def load_script(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(directory, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -31,3 +37,21 @@ def test_script_writes_rows(tmp_path, capsys, name, args):
         rows = list(csv.DictReader(fh))
     assert rows
     assert "wrote %d rows" % len(rows) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload", ["conv16", "blobs"])
+def test_bench_checks_pass_on_cli_outputs(tmp_path, workload):
+    # Every command of the workload's sequence, compare at 2 epochs instead
+    # of the benchmark's 40, checked by the benchmark's own checks.
+    workloads, checks = load_script("workloads", BENCH), load_script("checks", BENCH)
+    model_path, data_path = workloads.generate(workload, 401, str(tmp_path))
+    net, data = model.read_model(model_path), datasets.load_dataset(data_path)
+    for label, args in workloads.COMMANDS[workload]:
+        if "--epochs" in args:
+            args = list(args)
+            args[args.index("--epochs") + 1] = "2"
+        out = str(tmp_path / label)
+        argv = args[:1] + ["--model", model_path, "--data", data_path, "--out", out] + args[1:]
+        assert cli.main(argv) == 0, label
+        checks.CHECKS[label](out, net, data, argv)
+    assert {label for label, _ in workloads.COMMANDS["conv16"] + workloads.COMMANDS["blobs"]} == set(checks.CHECKS)

@@ -110,7 +110,8 @@ def test_masked_forward_equality_on_random_nets():
 def test_skip_net_surgery_keeps_shared_mask_and_equality():
     rng = np.random.default_rng(13)
     net = factories.skip_dense_net(rng)
-    plan = nisp_plan(net, rng.standard_normal((20, 6)), PruneConfig(ratios={1: 0.5}))
+    xs = rng.standard_normal((20, 6))
+    plan = nisp_plan(net, engine.batch_forward(net, xs, 0, net.frl_index), PruneConfig(ratios={1: 0.5}))
     assert np.array_equal(plan.mask(0), plan.mask(1))
     pruned, _ = apply_plan(net, plan)
     assert pruned.layers[0].weights.shape[0] == 3
@@ -166,7 +167,7 @@ def test_skip_edge_mask_mismatch_is_rejected():
             PlanEntry(1, np.ones(6), np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8)),
         ]
     )
-    with pytest.raises(ShapeError, match="share one mask"):
+    with pytest.raises(ConfigError, match="keeping different units"):
         apply_plan(net, plan)
 
 
@@ -342,7 +343,7 @@ def test_magnitude_keeps_dead_heavy_neuron_that_inffs_drops():
 
     mag = magnitude_plan(net, cfg)
     # alpha=1 ranks on response spread alone; a frozen unit has none
-    inffs = nisp_plan(net, data, cfg, alpha=1.0)
+    inffs = nisp_plan(net, engine.batch_forward(net, data, 0, net.frl_index), cfg, alpha=1.0)
     assert mag.mask(0)[0] == 1
     assert inffs.mask(0)[0] == 0
     assert not np.array_equal(mag.mask(0), inffs.mask(0))
@@ -353,8 +354,9 @@ def test_lbl_equals_nisp_when_only_the_frl_is_prunable():
     net = factories.dense_chain(rng, [4, 8, 3], activations=["Tanh", "Identity"])
     data = rng.standard_normal((30, 4))
     cfg = PruneConfig(ratios={0: 0.5})
-    a = lbl_plan(net, data, cfg)
-    b = nisp_plan(net, data, cfg)
+    trace = engine.batch_forward(net, data, 0, net.frl_index)
+    a = lbl_plan(net, trace, cfg)
+    b = nisp_plan(net, trace, cfg)
     assert np.array_equal(a.mask(0), b.mask(0))
     assert a.scores(0) == pytest.approx(b.scores(0))
 
@@ -364,26 +366,27 @@ def test_lbl_differs_from_nisp_on_a_deep_net():
     net = factories.dense_chain(rng, [5, 12, 10, 8, 4], activations=["Tanh", "Tanh", "Tanh", "Identity"])
     data = rng.standard_normal((60, 5))
     cfg = PruneConfig(ratios={0: 0.5, 1: 0.5, 2: 0.5})
-    a = lbl_plan(net, data, cfg)
-    b = nisp_plan(net, data, cfg)
+    trace = engine.batch_forward(net, data, 0, net.frl_index)
+    a = lbl_plan(net, trace, cfg)
+    b = nisp_plan(net, trace, cfg)
     assert any(not np.array_equal(a.mask(i), b.mask(i)) for i in (0, 1, 2))
 
 
 def test_lbl_keep_all_masks_are_ones():
     rng = np.random.default_rng(67)
     net = factories.dense_chain(rng, [4, 7, 5, 3])
-    plan = lbl_plan(net, rng.standard_normal((25, 4)), PruneConfig())
+    plan = lbl_plan(net, engine.batch_forward(net, rng.standard_normal((25, 4)), 0, net.frl_index), PruneConfig())
     assert all(plan.mask(i).all() for i in plan.entries)
 
 
 def test_plan_builders_respect_ratio_validation():
     rng = np.random.default_rng(71)
     net = factories.dense_chain(rng, [4, 7, 3])
-    data = rng.standard_normal((10, 4))
+    trace = engine.batch_forward(net, rng.standard_normal((10, 4)), 0, net.frl_index)
     for build in (
-        lambda: nisp_plan(net, data, PruneConfig(ratios={5: 0.5})),
+        lambda: nisp_plan(net, trace, PruneConfig(ratios={5: 0.5})),
         lambda: magnitude_plan(net, PruneConfig(ratios={0: 2.0})),
-        lambda: lbl_plan(net, data, PruneConfig(ratios={1: 0.5})),
+        lambda: lbl_plan(net, trace, PruneConfig(ratios={1: 0.5})),
         lambda: random_plan(net, PruneConfig(ratios={-1: 0.5}), seed=0),
     ):
         with pytest.raises(ConfigError):
@@ -392,7 +395,7 @@ def test_plan_builders_respect_ratio_validation():
 
 def test_plans_from_a_given_trace_match_their_own_forward():
     # A full trace past the FRL, as compare shares it, must give nisp and lbl
-    # the same plan bytes or the same error as their own forward to the FRL.
+    # the same plan bytes or the same error as a trace that stops at the FRL.
     def outcome(build):
         try:
             return plan_to_json(build())
@@ -406,7 +409,7 @@ def test_plans_from_a_given_trace_match_their_own_forward():
         xs = rng.standard_normal((12,) + input_shape(net))
         sources = {src for src, _ in net.skip_edges}
         cfg = PruneConfig(ratios={i: 0.5 for i in prunable_layer_ids(net) if i not in sources})
-        trace = engine.batch_forward(net, xs)
+        to_frl, full = engine.batch_forward(net, xs, 0, net.frl_index), engine.batch_forward(net, xs)
         for build in (nisp_plan, lbl_plan):
-            want = outcome(lambda: build(net, xs, cfg))
-            assert outcome(lambda: build(net, xs, cfg, trace=trace)) == want
+            want = outcome(lambda: build(net, to_frl, cfg))
+            assert outcome(lambda: build(net, full, cfg)) == want

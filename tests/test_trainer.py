@@ -150,7 +150,8 @@ def test_finetune_recovers_pruned_accuracy():
     trained, _ = train(net, data, cfg)
     before = engine.accuracy(trained, data.inputs, data.labels)
 
-    plan = nisp_plan(trained, data.inputs, PruneConfig(ratios={0: 0.5}))
+    trace = engine.batch_forward(trained, data.inputs, 0, trained.frl_index)
+    plan = nisp_plan(trained, trace, PruneConfig(ratios={0: 0.5}))
     pruned, _ = apply_plan(trained, plan)
     tuned, _ = finetune(pruned, data, cfg)
     after = engine.accuracy(tuned, data.inputs, data.labels)
@@ -174,8 +175,9 @@ def test_train_validation_errors():
         train(net, Dataset(inputs=data.inputs, labels=np.full(data.inputs.shape[0], 7)), TrainConfig(0.1, 1, 8, 0))
     with pytest.raises(DataError):
         train(net, Dataset(inputs=np.zeros((0, 4)), labels=np.zeros(0, dtype=int)), TrainConfig(0.1, 1, 8, 0))
-    with pytest.raises(ConfigError):
-        train(net, data, TrainConfig(learning_rate=-0.1, epochs=1, batch_size=8, seed=0))
+    for learning_rate in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            train(net, data, TrainConfig(learning_rate=learning_rate, epochs=1, batch_size=8, seed=0))
     with pytest.raises(ConfigError):
         train(net, data, TrainConfig(learning_rate=0.1, epochs=-1, batch_size=8, seed=0))
     with pytest.raises(ConfigError):
