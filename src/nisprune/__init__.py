@@ -58,7 +58,6 @@ from .analysis import (
     ware,
 )
 from .trainer import (
-    LearningCurve,
     SynthSpec,
     TrainConfig,
     finetune,

@@ -108,6 +108,8 @@ def _config_from_args(args):
         repeated = [v for v in values if values.count(v) > 1]
         if repeated:
             raise ConfigError("%s %d is given more than once" % (flag, repeated[0]))
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError("--seed must be non-negative, got %d" % min(seeds))
     args.seeds = tuple(seeds) or (0,)
     if args.command == "compare":
         args.strategies = tuple(dict.fromkeys(args.strategies or STRATEGIES))

@@ -133,7 +133,7 @@ def load_dataset(csv_path: str) -> Dataset:
             with open(mpath, encoding="utf-8") as fh:
                 manifest = json.load(fh)
             shape = manifest["input_shape"]
-        except (OSError, ValueError, KeyError, TypeError) as e:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
             raise DataError("bad manifest %s: %s" % (mpath, e)) from e
         # bool is an int subclass, and JSON's true is no width.
         if not (type(shape) is list and len(shape) in (1, 3) and all(type(v) is int and v > 0 for v in shape)):

@@ -469,7 +469,7 @@ def load_model(data) -> Network:
     """Parse canonical JSON into a Network, rejecting anything inconsistent."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except ValueError as e:  # UnicodeDecodeError included
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError included
         raise ModelFormatError("model document is not valid JSON: %s" % e) from e
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")

@@ -509,7 +509,7 @@ def plan_to_json(plan: ImportancePlan) -> bytes:
 def plan_from_json(data) -> ImportancePlan:
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except ValueError as e:  # UnicodeDecodeError included
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError included
         raise ModelFormatError("plan document is not valid JSON: %s" % e) from e
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ModelFormatError("plan document needs a layers list")

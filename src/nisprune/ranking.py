@@ -120,6 +120,8 @@ def build_affinity(responses: np.ndarray, alpha: float = 0.5) -> AffinityGraph:
     a += rho
     del rho  # freed before spectral_radius allocates its own n x n array
     np.fill_diagonal(a, 0.0)
+    if not np.isfinite(a).all():
+        raise DataError("responses are too large to rank: their affinity graph overflows")
 
     radius = spectral_radius(a)
     r = 0.9 / radius if radius > 0 else 0.9

@@ -65,7 +65,6 @@ def apply_plan(net: Network, plan: ImportancePlan):
     original bit for bit, except past an LRN layer whose kept channels are
     not contiguous (see the module docstring).
     """
-    shapes = output_shapes(net)
     masks = effective_masks(net, plan)
     new_layers = []
     rows = []
@@ -100,13 +99,12 @@ def apply_plan(net: Network, plan: ImportancePlan):
         elif layer.kind == "BatchNorm":  # never first: no input shape can be read off one
             ch = np.flatnonzero(channel_mask(in_mask, len(layer.weights)))
             new = replace(layer, weights=layer.weights[ch].copy(), bias=layer.bias[ch].copy())
-        else:  # Activation; output_shapes above rejects unknown kinds
+        else:  # Activation; effective_masks above rejects unknown kinds
             new = layer
 
         new_layers.append(new)
-        width = shape_size(shapes[i])
         kept = int(own.sum())
-        rows.append((i, kept, width - kept, layer_params(layer), layer_params(new)))
+        rows.append((i, kept, len(own) - kept, layer_params(layer), layer_params(new)))
 
     pruned = Network(layers=tuple(new_layers), frl_index=net.frl_index, skip_edges=net.skip_edges)
     require_valid(pruned, "surgery produced an inconsistent network")

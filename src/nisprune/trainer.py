@@ -14,7 +14,7 @@ import numpy as np
 from . import engine
 from .datasets import Dataset
 from .errors import ConfigError, DataError
-from .model import Layer, Network, output_shapes, require_valid
+from .model import Layer, Network, output_shapes
 
 
 @dataclass(frozen=True)
@@ -23,20 +23,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
-
-
-@dataclass
-class LearningCurve:
-    """Per-epoch mean training loss and accuracy on the training data."""
-
-    train_loss: list
-    eval_accuracy: list
-
-    def to_csv(self) -> str:
-        lines = ["epoch,train_loss,eval_accuracy"]
-        for i, (loss, acc) in enumerate(zip(self.train_loss, self.eval_accuracy)):
-            lines.append("%d,%s,%s" % (i, repr(float(loss)), repr(float(acc))))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -66,8 +52,7 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     if spec.cluster_spread < 0:
         raise ConfigError("cluster_spread must be non-negative")
     rng = np.random.default_rng(spec.seed)
-    rows = []
-    labels = []
+    rows, labels = [], []
     for c in range(spec.n_classes):
         center = np.zeros(spec.dim)
         center[c] = spec.center_scale
@@ -112,13 +97,14 @@ def reinit(net: Network, seed: int) -> Network:
     return Network(layers=tuple(layers), frl_index=net.frl_index, skip_edges=net.skip_edges)
 
 
-def check_trainable(net: Network):
+def check_trainable(net: Network) -> list:
+    """Every layer's response shape, or ConfigError for a net SGD cannot train."""
     if net.skip_edges:
         raise ConfigError("training supports chains only, drop the skip edges")
     for i, layer in enumerate(net.layers):
         if layer.kind not in ("Dense", "Activation"):
             raise ConfigError("layer %d: only dense stacks are trainable, found %s" % (i, layer.kind))
-    require_valid(net, "network fails validation")
+    return output_shapes(net)
 
 
 def _act_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -140,8 +126,7 @@ def _unpack(net: Network):
 
 def _forward(acts, params, x):
     """Returns the output plus the (input, pre-activation, activation) records."""
-    a = x
-    records = []
+    a, records = x, []
     for act, p in zip(acts, params):
         z = a if p is None else a @ p[0].T + p[1]
         a_new = engine.apply_activation(act, z)
@@ -185,13 +170,13 @@ def _loss_and_grads(acts, params, x, y):
 
 
 def train(net: Network, data: Dataset, cfg: TrainConfig):
-    """Mini-batch SGD; returns (trained_net, LearningCurve).
+    """Mini-batch SGD; returns (trained_net, per-epoch losses).
 
-    The epoch loss is the sample-weighted mean of batch losses, measured on
-    the evolving weights; accuracy is measured on the training data after the
-    epoch finishes. Zero epochs returns the network unchanged with an empty
-    curve; a zero learning rate leaves the weights where they started.
-    Training that ends on non-finite weights raises ConfigError.
+    An epoch's loss is the sample-weighted mean of its batch losses, measured
+    on the evolving weights. Zero epochs returns the network unchanged and no
+    losses; a zero learning rate leaves the weights where they started.
+    Training stops at the first epoch whose loss is not finite, and raises
+    ConfigError then or when it ends on non-finite weights.
     """
     if data.labels is None:
         raise DataError("training needs labeled data")
@@ -201,7 +186,7 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
         raise ConfigError("batch_size must be at least 1")
     if not 0 <= cfg.learning_rate < np.inf:
         raise ConfigError("learning_rate must be finite and non-negative")
-    check_trainable(net)
+    out_dim = check_trainable(net)[-1][0]
 
     x = np.asarray(data.inputs, dtype=float)
     y = np.asarray(data.labels)
@@ -210,7 +195,6 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
     n = x.shape[0]
     if n == 0:
         raise DataError("training set is empty")
-    out_dim = output_shapes(net)[-1][0]
     if y.min() < 0 or y.max() >= out_dim:
         raise DataError("labels must lie in [0, %d)" % out_dim)
 
@@ -218,7 +202,6 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
 
     rng = np.random.default_rng(cfg.seed)
     losses = []
-    accs = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -230,15 +213,15 @@ def train(net: Network, data: Dataset, cfg: TrainConfig):
                 w, b = params[i]
                 params[i] = (w - cfg.learning_rate * d_w, b - cfg.learning_rate * d_b)
         losses.append(epoch_loss / n)
-        logits, _ = _forward(acts, params, x)
-        accs.append(float((logits.argmax(axis=1) == y).mean()))
+        if not np.isfinite(epoch_loss):
+            break  # a NaN probability has made the last dense bias NaN too
 
     if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in filter(None, params)):
         raise ConfigError("training diverged to non-finite weights; lower the learning rate")
     layers = tuple(layer if p is None else replace(layer, weights=p[0], bias=p[1])
                    for layer, p in zip(net.layers, params))
     trained = Network(layers=layers, frl_index=net.frl_index, skip_edges=net.skip_edges)
-    return trained, LearningCurve(train_loss=losses, eval_accuracy=accs)
+    return trained, losses
 
 
 def finetune(net: Network, data: Dataset, cfg: TrainConfig):

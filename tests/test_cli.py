@@ -284,6 +284,19 @@ def test_compare_rejects_a_repeated_seed(workspace):
     assert run(base + ["--seed", "1", "--seed", "2"]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["prune", "--strategy", "random", "--seed", "-5"],
+    ["prune", "--seed", "-1"],
+    ["verify", "--layer", "0", "--trials", "2", "--seed", "-5"],
+    ["compare", "--strategy", "random", "--epochs", "0", "--seed", "1", "--seed", "-1"],
+], ids=["prune-random", "prune-nisp", "verify", "compare"])
+def test_negative_seed_exits_2_without_output(workspace, capsys, command):
+    code = run(command + ["--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"]])
+    assert code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not os.path.exists(workspace["out"])
+
+
 def test_prune_rejects_a_repeated_ratio_layer(workspace, capsys):
     base = ["prune", "--model", workspace["model"], "--data", workspace["csv"], "--out", workspace["out"]]
     assert run(base + ["--ratio", "0=0.5", "--ratio", "0=0.25"]) == 2
@@ -565,6 +578,9 @@ def _edit_line(data, number, edit):
     return b"\n".join(lines)
 
 
+# Deeper than the json decoder's recursion limit.
+DEEP_JSON = b"[" * 200000
+
 # Each is no list of edges, so none may be read as one.
 SKIP_EDGES_NOT_A_LIST = {"int": b"1", "float": b"0.5", "bool": b"true", "null": b"null",
                          "string": b'"ab"', "object": b'{"0": 1}'}
@@ -577,10 +593,12 @@ SKIP_EDGES_NOT_A_LIST = {"int": b"1", "float": b"0.5", "bool": b"true", "null": 
     ("csv", lambda good: _edit_line(
         good, 2, lambda line: b"0" * csv.field_size_limit() + b"1" + line[line.index(b","):])),
     ("model", lambda good: good.replace(b'"activation"', b'"activaton"', 1)),
+    ("model", lambda good: DEEP_JSON),
 ] + [
     ("model", lambda good, value=value: good.replace(b'"skip_edges": []', b'"skip_edges": ' + value))
     for value in SKIP_EDGES_NOT_A_LIST.values()
-], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field", "model-misspelt-key"]
+], ids=["non-json-model", "model-0xff", "csv-0xff-row-3", "csv-over-limit-field", "model-misspelt-key",
+        "model-deeply-nested"]
     + ["skip-edges-%s" % name for name in SKIP_EDGES_NOT_A_LIST])
 def test_corrupt_input_exits_3(workspace, which, corrupt):
     paths = {"model": workspace["model"], "csv": workspace["csv"]}
@@ -596,7 +614,8 @@ def test_corrupt_input_exits_3(workspace, which, corrupt):
 
 # Each loads a 4-column CSV as something other than what it says, or as
 # nothing a sample can be.
-BAD_INPUT_SHAPES = ["[2, 2]", "[-2, -2]", "[4.7]", "[true, 4]", '["4"]', "[1, 1, 2, 2]"]
+BAD_INPUT_SHAPES = ["[2, 2]", "[-2, -2]", "[4.7]", "[true, 4]", '["4"]', "[1, 1, 2, 2]",
+                    pytest.param(DEEP_JSON.decode(), id="deeply-nested")]
 
 
 @pytest.mark.parametrize("shape", BAD_INPUT_SHAPES)
@@ -692,5 +711,33 @@ def test_mutated_model_document_exits_0_2_or_3_and_fails_without_files(edits):
             out = os.path.join(tmp, command[0])
             code = run([command[0], "--model", model_path, "--data", data_path, "--out", out] + command[1:])
             assert code in ((0,) if not edits else (0, 2, 3))
+            if code:
+                assert not os.path.exists(out) or not os.listdir(out)
+
+
+# --- dataset fuzzing -----------------------------------------------------------------
+
+# Manifests for the fuzzed 4-column CSV; "%d" stands for its width.
+DATA_FUZZ_MANIFESTS = [None, None, '{"input_shape": [%d]}', '{"input_shape": [1, 2, 2]}', '{"input_shape": [2, 2]}',
+                       '{"input_shape": [%d], "extra": 1}', '{"input_shape": null}', '{"shape": [1]}', "[]", "",
+                       "not json", DEEP_JSON.decode()]
+
+
+@given(factories.mutated_csv(widths=st.just(4), manifests=DATA_FUZZ_MANIFESTS))
+@settings(max_examples=150, deadline=None)
+def test_mutated_dataset_exits_0_2_or_3_and_fails_without_files(case):
+    data, manifest = case
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, data_path = os.path.join(tmp, "model.json"), os.path.join(tmp, "data.csv")
+        write_model(make_mlp([4, 6, 5, 3], seed=3), model_path)
+        with open(data_path, "wb") as fh:
+            fh.write(data)
+        if manifest is not None:
+            with open(manifest_path_for(data_path), "w") as fh:
+                fh.write(manifest)
+        for command in (["rank"], ["prune", "--ratio-all", "0.5"]):
+            out = os.path.join(tmp, command[0])
+            code = run([command[0], "--model", model_path, "--data", data_path, "--out", out] + command[1:])
+            assert code in (0, 2, 3)
             if code:
                 assert not os.path.exists(out) or not os.listdir(out)

@@ -7,8 +7,8 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import factories
 import oracles
 from nisprune import datasets
 from nisprune.datasets import Dataset, load_dataset, manifest_path_for, save_dataset
@@ -113,56 +113,6 @@ def test_float_precision_survives(tmp_path):
     assert np.array_equal(load_dataset(path).inputs, vals)
 
 
-# Field and label texts that float(), int() or csv.reader treat in some
-# special way, for the differential test against the csv.reader loop.
-ODD_FIELDS = ["1_0", "\u0661\u0662", " 2.5", "2.5 ", "nan", "-inf", "1e400", "1#2", "", "abc", "0x10",
-              "-0.0", "+7", '"3.5"', '"1,5"', '"a""b"', "\u2028", "4\x0c", "5\x85", "6\x00", "\u00a03"]
-ODD_LABELS = ["", " 2", "1.0", "\u0663", "+1", "-1", "1_0", "99999999999999999999", "x", '"1"']
-NEWLINES = ["\n", "\r\n", "\r"]
-MANIFESTS = [None, None, None, '{"input_shape": [1, 1, %d]}', '{"input_shape": [%d]}', '{"input_shape": [2, %d]}',
-             '{"input_shape": [7]}', '{"shape": [1]}', "not json"]
-
-
-@st.composite
-def mutated_csv(draw):
-    """(bytes of a CSV file, manifest text or None): a valid file with a few
-    of the mutations the loader must treat exactly as csv.reader does."""
-    d = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
-    labeled = draw(st.booleans())
-    floats = st.floats(allow_nan=False, allow_infinity=False)
-    lines = [["x%d" % j for j in range(d)] + (["label"] if labeled else [])]
-    for _ in range(n):
-        lines.append([repr(draw(floats)) for _ in range(d)] + ([str(draw(st.integers(0, 9)))] if labeled else []))
-    newline, trailing = "\n", True
-    for kind in draw(st.lists(st.sampled_from(["field", "label", "blank", "short", "extra", "header",
-                                                "newline", "no_trailing", "unlabel_all"]), max_size=3)):
-        fields = lines[draw(st.integers(1, len(lines) - 1))]
-        if kind == "field" and fields:
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
-        elif kind == "label" and fields:
-            fields[-1] = draw(st.sampled_from(ODD_LABELS))
-        elif kind == "blank":
-            lines.insert(draw(st.integers(1, len(lines))), [])
-        elif kind == "short":
-            del fields[-1:]
-        elif kind == "extra":
-            fields.append("0")
-        elif kind == "header":
-            lines[0][draw(st.integers(0, len(lines[0]) - 1))] = draw(st.sampled_from(["x9", "y", "label ", '"x0"']))
-        elif kind == "newline":
-            newline = draw(st.sampled_from(NEWLINES))
-        elif kind == "no_trailing":
-            trailing = False
-        elif kind == "unlabel_all" and labeled:
-            for fields in lines[1:]:
-                fields[-1:] = [""]
-    cut = draw(st.sampled_from([None, None, None, 0, 1]))  # empty file, header only
-    text = newline.join(",".join(fields) for fields in lines[:cut]) + (newline if trailing and cut != 0 else "")
-    manifest = draw(st.sampled_from(MANIFESTS))
-    return text.encode("utf-8"), (manifest % d if manifest and "%d" in manifest else manifest)
-
-
 def _outcome(load, path):
     try:
         ds = load(path)
@@ -172,7 +122,7 @@ def _outcome(load, path):
     return ("ok", ds.inputs.shape, ds.inputs.dtype, ds.inputs.tobytes(), labels)
 
 
-@given(mutated_csv())
+@given(factories.mutated_csv())
 @settings(max_examples=100, deadline=None)
 def test_load_matches_csv_reader_loop(case):
     # Same input bytes and labels, or the same exception type and message.

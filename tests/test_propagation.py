@@ -547,6 +547,8 @@ def test_plan_json_rejects_malformed_documents():
     dup = b'{"layers": [{"layer_id": 0, "scores": [1.0], "mask": [1]}, {"layer_id": 0, "scores": [1.0], "mask": [1]}]}'
     with pytest.raises(ModelFormatError):
         plan_from_json(dup)
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        plan_from_json(b"[" * 200000)  # deeper than the decoder's recursion limit
 
 
 @pytest.mark.parametrize("value", [-1, 2, 0.5, "1", [1]])

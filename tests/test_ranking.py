@@ -86,6 +86,10 @@ def test_affinity_input_validation():
         build_affinity(np.zeros((3, 1)), alpha=0.5)
     with pytest.raises(DataError):
         build_affinity(np.array([[np.nan, 1.0], [0.0, 1.0]]), alpha=0.5)
+    # Finite responses whose spread overflows used to rank as NaN scores
+    # after the power iteration ran to its step cap.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataError, match="overflows"):
+        build_affinity(np.array([[1e300, 0.0, 1.0], [-1e300, 1.0, 0.0]]), alpha=0.5)
 
 
 def test_inffs_hand_example():

@@ -3,14 +3,13 @@ import pytest
 
 import factories
 import oracles
-from nisprune import engine
+from nisprune import engine, trainer
 from nisprune.datasets import Dataset
 from nisprune.errors import ConfigError, DataError
 from nisprune.model import Layer, Network, save_model
 from nisprune.propagation import PruneConfig
 from nisprune.surgery import apply_plan, nisp_plan
 from nisprune.trainer import (
-    LearningCurve,
     SynthSpec,
     TrainConfig,
     check_trainable,
@@ -76,11 +75,10 @@ def test_loss_and_grads_reports_mean_cross_entropy():
 def test_zero_learning_rate_keeps_weights_and_flattens_curve():
     net = make_mlp([4, 6, 2], seed=5)
     data = blob_data()
-    trained, curve = train(net, data, TrainConfig(learning_rate=0.0, epochs=3, batch_size=8, seed=0))
+    trained, losses = train(net, data, TrainConfig(learning_rate=0.0, epochs=3, batch_size=8, seed=0))
     assert save_model(trained) == save_model(net)
-    assert len(curve.train_loss) == 3
-    assert curve.train_loss[0] == curve.train_loss[1] == curve.train_loss[2]
-    assert curve.eval_accuracy[0] == curve.eval_accuracy[2]
+    assert len(losses) == 3
+    assert losses[0] == losses[1] == losses[2]
 
 
 def test_train_leaves_the_input_net_unchanged():
@@ -101,20 +99,18 @@ def test_train_leaves_the_input_net_unchanged():
 def test_zero_epochs_is_identity():
     net = make_mlp([4, 6, 2], seed=7)
     data = blob_data()
-    trained, curve = train(net, data, TrainConfig(learning_rate=0.1, epochs=0, batch_size=8, seed=0))
+    trained, losses = train(net, data, TrainConfig(learning_rate=0.1, epochs=0, batch_size=8, seed=0))
     assert save_model(trained) == save_model(net)
-    assert curve.train_loss == []
-    assert curve.eval_accuracy == []
+    assert losses == []
 
 
 def test_training_is_deterministic():
     data = blob_data(seed=2)
     cfg = TrainConfig(learning_rate=0.05, epochs=4, batch_size=16, seed=11)
-    a, curve_a = train(make_mlp([4, 8, 2], seed=9), data, cfg)
-    b, curve_b = train(make_mlp([4, 8, 2], seed=9), data, cfg)
+    a, losses_a = train(make_mlp([4, 8, 2], seed=9), data, cfg)
+    b, losses_b = train(make_mlp([4, 8, 2], seed=9), data, cfg)
     assert save_model(a) == save_model(b)
-    assert curve_a.train_loss == curve_b.train_loss
-    assert curve_a.eval_accuracy == curve_b.eval_accuracy
+    assert losses_a == losses_b
 
 
 def test_shuffle_seed_changes_the_path():
@@ -128,19 +124,18 @@ def test_shuffle_seed_changes_the_path():
 def test_separable_blobs_train_to_high_accuracy():
     data = blob_data(seed=4, classes=2, dim=4, spread=0.3, per_class=50)
     net = make_mlp([4, 8, 2], seed=0)
-    trained, curve = train(net, data, TrainConfig(learning_rate=0.1, epochs=50, batch_size=16, seed=0))
-    assert curve.eval_accuracy[-1] >= 0.95
-    assert curve.train_loss[-1] < curve.train_loss[0]
-    assert engine.accuracy(trained, data.inputs, data.labels) == curve.eval_accuracy[-1]
+    trained, losses = train(net, data, TrainConfig(learning_rate=0.1, epochs=50, batch_size=16, seed=0))
+    assert engine.accuracy(trained, data.inputs, data.labels) >= 0.95
+    assert losses[-1] < losses[0]
 
 
 def test_finetune_is_train_at_a_tenth():
     data = blob_data(seed=6)
     net = make_mlp([4, 6, 2], seed=3)
-    tuned, tuned_curve = finetune(net, data, TrainConfig(learning_rate=0.5, epochs=3, batch_size=8, seed=2))
-    slow, slow_curve = train(net, data, TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=2))
+    tuned, tuned_losses = finetune(net, data, TrainConfig(learning_rate=0.5, epochs=3, batch_size=8, seed=2))
+    slow, slow_losses = train(net, data, TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=2))
     assert save_model(tuned) == save_model(slow)
-    assert tuned_curve.train_loss == slow_curve.train_loss
+    assert tuned_losses == slow_losses
 
 
 def test_finetune_recovers_pruned_accuracy():
@@ -158,12 +153,34 @@ def test_finetune_recovers_pruned_accuracy():
     assert after >= before - 0.05
 
 
-def test_learning_curve_csv():
-    curve = LearningCurve(train_loss=[0.5, 0.25], eval_accuracy=[0.75, 1.0])
-    lines = curve.to_csv().strip().split("\n")
-    assert lines[0] == "epoch,train_loss,eval_accuracy"
-    assert lines[1] == "0,0.5,0.75"
-    assert lines[2] == "1,0.25,1.0"
+def _counting(monkeypatch, name):
+    """Count the calls to trainer.<name>; returns the one-item list that holds the count."""
+    calls, inner = [0], getattr(trainer, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(trainer, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, batch_size, epochs", [(80, 8, 3), (100, 16, 4), (7, 32, 2), (60, 1, 1)])
+def test_train_runs_one_forward_per_step(monkeypatch, n, batch_size, epochs):
+    data = blob_data(seed=3, per_class=-(-n // 2))
+    data = Dataset(inputs=data.inputs[:n], labels=data.labels[:n])
+    forwards = _counting(monkeypatch, "_forward")
+    _, losses = train(make_mlp([4, 6, 2], seed=1), data, TrainConfig(0.1, epochs, batch_size, 0))
+    assert forwards[0] == epochs * -(-n // batch_size)
+    assert len(losses) == epochs
+
+
+def test_diverging_training_stops_after_its_first_non_finite_epoch(monkeypatch):
+    data = blob_data(seed=1, classes=8, dim=64, spread=1.0, per_class=25)
+    steps = _counting(monkeypatch, "_loss_and_grads")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="diverged"):
+        train(make_mlp([64, 256, 128, 8], seed=0), data, TrainConfig(1e308, 40, 32, 0))
+    assert 0 < steps[0] <= 7  # one epoch of ceil(200 / 32) steps, not 40
 
 
 def test_train_validation_errors():
