@@ -34,7 +34,6 @@ from .propagation import (
     PlanEntry,
     PruneConfig,
     effective_masks,
-    importance_closed_form,
     nisp_backward,
     plan_from_json,
     plan_to_json,

@@ -15,7 +15,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, DataError, ShapeError
 from .model import Network, layer_params, output_shapes, shape_size
-from .propagation import bp_matrix, final_importance
+from .propagation import _propagate_through, final_importance
 
 _EPS = 1e-12
 
@@ -85,10 +85,12 @@ class BoundContext:
 
     Writing G for the subnetwork from layer_id+1 to the final response layer,
     the accumulated weighted error sum_m <s_n, |G(x_m) - G(s* . x_m)|> is
-    bounded by C_sigma * C_x * sum_i r_i (1 - s*_i), where r chains the
-    absolute weight matrices of the tail, C_sigma multiplies the activation
-    Lipschitz constants, and C_x = max_i sum_m |x_m[i]| over the layer's
-    responses x_m.
+    bounded by C_sigma * C_x * sum_i r_i (1 - s*_i), where r is s_n pulled
+    back through the tail by nisp_backward's propagation rules (a batch-norm
+    layer scales it by |scale|), C_sigma multiplies the activation Lipschitz
+    constants, and C_x = max_i sum_m |x_m[i]| over the layer's responses x_m.
+    No layer's propagation is built as a matrix, so r costs what one
+    backward pass costs.
 
     ``trace`` is ``engine.batch_forward(net, inputs, 0, end)`` for some end
     at or above the final response layer. Building the context checks the
@@ -121,22 +123,18 @@ class BoundContext:
         if len(trace) < net.frl_index + 2:
             raise ConfigError("trace stops below the final response layer")
 
-        # r = |W_{l+1}|^T ... |W_n|^T s_n, with batch-norm contributing |scale|
-        # and activations only their Lipschitz factor.
-        r = s_n.copy()
+        # r = |W_{l+1}|^T ... |W_n|^T s_n. Pool2D and BatchNorm layers load
+        # with the Identity activation, so C_sigma may take every layer's.
+        r = s_n
         c_sigma = 1.0
         for i in range(net.frl_index, layer_id, -1):
             layer = net.layers[i]
-            if layer.kind == "Activation":
-                c_sigma *= engine.activation_lipschitz(layer.activation)
-                continue
+            c_sigma *= engine.activation_lipschitz(layer.activation)
             if layer.kind == "BatchNorm":
                 # One scale entry per channel, repeated over its positions.
                 r = np.repeat(np.abs(layer.weights), shape_size(shapes[i]) // len(layer.weights)) * r
-                continue
-            if layer.kind in ("Dense", "Conv2D"):
-                c_sigma *= engine.activation_lipschitz(layer.activation)
-            r = r @ bp_matrix(layer)
+            else:
+                r = _propagate_through(layer, r)
 
         self.net = net
         self.layer_id = layer_id

@@ -296,7 +296,9 @@ def main(argv=None) -> int:
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
     try:
-        args.func(_config_from_args(args))
+        # Overflow and invalid values surface as each command's own error.
+        with np.errstate(all="ignore"):
+            args.func(_config_from_args(args))
     except ConfigError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

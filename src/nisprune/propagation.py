@@ -21,13 +21,11 @@ propagating, so discarded units pass nothing further down. When several
 layers consume one response (a skip edge), their propagated contributions
 sum.
 
-Every rule also exists as an explicit matrix: ``bp_matrix`` builds the
-(out_size x in_size) nonnegative matrix BP with s_in = s_out @ BP.
-``importance_closed_form`` chains those matrices, which is the product
-|w^(k+1)|^T ... |w^(n)|^T s_n written out explicitly, a second route to the
-numbers of the backward pass. The conv and pool rules and their matrices
-read the same ``model.window_index`` table, so the independent check of
-both is the brute-force enumeration of receptive fields in tests/oracles.py.
+With every neuron kept, layer k receives |w^(k+1)|^T ... |w^(n)|^T s_n.
+``analysis.BoundContext`` pulls its vector r back through the same rules
+(``_propagate_through``), scaling by |scale| at batch-norm layers. The conv
+and pool rules read ``model.window_index``; tests/oracles.py checks them by
+enumerating receptive fields and by explicit propagation matrices.
 """
 
 from __future__ import annotations
@@ -181,57 +179,6 @@ def propagate_lrn(local_size: int, s_out: np.ndarray) -> np.ndarray:
         lo, hi = max(0, c - half), min(channels, c + half + 1)
         out[c] = s[lo:hi].sum(axis=0) / float(local_size)
     return out
-
-
-# ---------------------------------------------------------------------------
-# explicit propagation matrices
-
-def bp_conv_matrix(kernel: np.ndarray, geometry: Geometry) -> np.ndarray:
-    """(c_out*y*y, c_in*x*x) matrix with s_in = s_out @ BP.
-
-    Row (f, yr, yc), column (n, xr, xc) holds |kernel[a, b, n, f]| where
-    a = xr - yr*s + p and b = xc - yc*s + p, whenever those land inside the
-    kernel and (xr, xc) inside the unpadded input. It reads the same
-    window_index as the scatter rule above; the brute-force enumerations in
-    tests/oracles.py check both independently.
-    """
-    g = geometry
-    absk = np.abs(np.asarray(kernel, dtype=float)).reshape(g.k * g.k, g.c_in, g.c_out)
-    idx = window_index(g)
-    pos, off = np.nonzero(idx < g.x * g.x)
-    bp = np.zeros((g.c_out, g.y * g.y, g.c_in, g.x * g.x))
-    bp[:, pos, :, idx[pos, off]] = absk[off].transpose(0, 2, 1)
-    return bp.reshape(g.c_out * g.y * g.y, g.c_in * g.x * g.x)
-
-
-def bp_pool_matrix(geometry: Geometry) -> np.ndarray:
-    """Block-diagonal over channels; windows carry 1/(k*k) at each position.
-
-    That is the conv matrix of a kernel that averages each channel alone.
-    """
-    g = geometry
-    kernel = np.broadcast_to(np.eye(g.c_in, g.c_out) / float(g.k * g.k), (g.k, g.k, g.c_in, g.c_out))
-    return bp_conv_matrix(kernel, g)
-
-
-def bp_lrn_matrix(local_size: int, geometry: Geometry) -> np.ndarray:
-    """Band over channels at each spatial position, every entry 1/local_size."""
-    g = geometry
-    band = np.abs(np.arange(g.c_out)[:, None] - np.arange(g.c_in)) <= (local_size - 1) // 2
-    return np.kron(band, np.eye(g.x * g.x)) / float(local_size)
-
-
-def bp_matrix(layer: Layer) -> np.ndarray:
-    """Explicit propagation matrix of a weighted or spatial layer."""
-    if layer.kind == "Dense":
-        return np.abs(np.asarray(layer.weights, dtype=float))
-    if layer.kind == "Conv2D":
-        return bp_conv_matrix(layer.weights, layer.geometry)
-    if layer.kind == "Pool2D":
-        return bp_pool_matrix(layer.geometry)
-    if layer.kind == "LRN":
-        return bp_lrn_matrix(layer.lrn_local_size, layer.geometry)
-    raise ConfigError("no propagation matrix for a %s layer" % layer.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +410,6 @@ def plan_from_layer_scores(net: Network, cfg: PruneConfig, scores_by_layer: dict
             )
         picker.pick(layer_id, scores)
     return picker.plan()
-
-
-def importance_closed_form(net: Network, s_n: np.ndarray, layer_id: int) -> np.ndarray:
-    """Importance of layer_id's response as one explicit matrix product.
-
-    Chains the bp_matrix of every layer between the final response layer and
-    layer_id, skipping batch-norm and activation layers, which propagate
-    unchanged. Defined for chain networks only (no skip edges) and without
-    any pruning along the way.
-    """
-    if net.skip_edges:
-        raise ConfigError("the closed form is defined for chain networks only")
-    shapes = output_shapes(net)
-    frl = net.frl_index
-    if not 0 <= layer_id <= frl:
-        raise ConfigError("layer id %d outside 0..%d" % (layer_id, frl))
-    s = final_importance(net, shapes, s_n)
-    for i in range(frl, layer_id, -1):
-        layer = net.layers[i]
-        if layer.kind in ("BatchNorm", "Activation"):
-            continue
-        s = s @ bp_matrix(layer)
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,17 @@ def skip_dense_net(rng, width=6, n_classes=3, activations=("ReLU", "Identity")):
     return net
 
 
+def wide_conv_net(rng):
+    """Conv 1->64, then Conv 64->64 (3x3, p=1) on a 32x32 grid, a dense FRL of
+    3 and a classifier of 2. Above layer 0, the explicit propagation matrix of
+    the 64->64 conv would hold 65536 x 65536 floats, 34 GB."""
+    g0 = Geometry(x=32, y=32, k=3, s=1, p=1, c_in=1, c_out=64)
+    g1 = Geometry(x=32, y=32, k=3, s=1, p=1, c_in=64, c_out=64)
+    layers = (conv_layer(rng, g0, "ReLU"), conv_layer(rng, g1, "ReLU"),
+              dense_layer(rng, 3, 64 * 32 * 32, "ReLU"), dense_layer(rng, 2, 3))
+    return Network(layers=layers, frl_index=2)
+
+
 def random_input(rng, net):
     from nisprune.model import input_shape
 

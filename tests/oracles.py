@@ -15,9 +15,9 @@ import numpy as np
 from nisprune import engine
 from nisprune.analysis import BoundReport
 from nisprune.datasets import Dataset, manifest_path_for
-from nisprune.errors import DataError
+from nisprune.errors import ConfigError, DataError
 from nisprune.model import output_shapes
-from nisprune.propagation import bp_matrix
+from nisprune.propagation import final_importance
 
 
 def conv_importance_brute(kernel, geometry, s_out):
@@ -63,7 +63,7 @@ def lrn_importance_brute(local_size, s_out):
 
 
 def bp_lrn_matrix_loop(local_size, geometry):
-    """``propagation.bp_lrn_matrix`` filled entry by entry over channel pairs."""
+    """(c*x*x, c*x*x) LRN propagation matrix, filled entry by entry over channel pairs."""
     g = geometry
     x2 = g.x * g.x
     half = (local_size - 1) // 2
@@ -191,6 +191,35 @@ def bp_pool_matrix_loop(g):
     return bp
 
 
+def bp_matrix_loop(layer):
+    """Explicit propagation matrix BP of a weighted or spatial layer, s_in = s_out @ BP."""
+    if layer.kind == "Dense":
+        return np.abs(np.asarray(layer.weights, dtype=float))
+    if layer.kind == "Conv2D":
+        return bp_conv_matrix_loop(layer.weights, layer.geometry)
+    if layer.kind == "Pool2D":
+        return bp_pool_matrix_loop(layer.geometry)
+    return bp_lrn_matrix_loop(layer.lrn_local_size, layer.geometry)
+
+
+def importance_closed_form(net, s_n, layer_id):
+    """Importance of layer_id's response as |w^(k+1)|^T ... |w^(n)|^T s_n.
+
+    Chains the explicit matrix of every layer between the final response
+    layer and layer_id; batch-norm and activation layers pass importance
+    unchanged. Chain networks only, with nothing pruned along the way.
+    """
+    if net.skip_edges:
+        raise ConfigError("the closed form is defined for chain networks only")
+    if not 0 <= layer_id <= net.frl_index:
+        raise ConfigError("layer id %d outside 0..%d" % (layer_id, net.frl_index))
+    s = final_importance(net, output_shapes(net), s_n)
+    for layer in net.layers[net.frl_index : layer_id : -1]:
+        if layer.kind not in ("BatchNorm", "Activation"):
+            s = s @ bp_matrix_loop(layer)
+    return s
+
+
 def series_scores(a, r, terms=200):
     """Row sums of sum_{l=1..terms} (rA)^l, the truncated path-weight series."""
     n = a.shape[0]
@@ -295,8 +324,8 @@ def masked_forward(net, x, masks):
 def verify_bound_reference(net, inputs, s_n, keep_mask, layer_id):
     """Both sides of the pruning bound, recomputed from scratch for one mask.
 
-    The full forward to the final response layer, r chained from the
-    explicit propagation matrices, and the tail run over the masked responses
+    The full forward to the final response layer, r chained through |w| and
+    the window loops above, and the tail run over the masked responses
     multiplied by zero, with no context shared between calls. Expects a tail
     that the library accepts.
     """
@@ -320,7 +349,13 @@ def verify_bound_reference(net, inputs, s_n, keep_mask, layer_id):
             continue
         if layer.kind in ("Dense", "Conv2D"):
             c_sigma *= engine.activation_lipschitz(layer.activation)
-        r = r @ bp_matrix(layer)
+        g = layer.geometry
+        if layer.kind == "Dense":
+            r = r @ np.abs(layer.weights)
+        elif layer.kind == "Conv2D":
+            r = propagate_conv_loop(layer.weights, g, r.reshape(g.c_out, g.y, g.y)).ravel()
+        else:
+            r = propagate_pool_loop(g, r.reshape(g.c_out, g.y, g.y)).ravel()
 
     masked_in = trace[layer_id + 1] * keep_mask.reshape(shapes[layer_id])
     masked = engine.batch_forward(net, masked_in, layer_id + 1, net.frl_index)[-1]

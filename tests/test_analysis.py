@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,40 @@ def test_bound_context_matches_reference(seed, first_tail, samples):
             assert got.c_sigma_product == want.c_sigma_product
             assert np.array_equal(got.r_vector, want.r_vector)
             assert got.holds == want.holds
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["Conv2D", "Pool2D"]))
+@settings(max_examples=60, deadline=None)
+def test_bound_r_matches_the_explicit_matrix_chain(seed, first_tail):
+    # The loop rules sum in another order than s @ BP, so r agrees with the
+    # chain of explicit matrices to rounding, not bit for bit.
+    rng = np.random.default_rng(seed)
+    net = _bound_chain(rng, first_tail)
+    xs = rng.standard_normal((3,) + input_shape(net))
+    s_n = np.abs(rng.standard_normal(shape_size(output_shapes(net)[net.frl_index])))
+    ctx = BoundContext(net, engine.batch_forward(net, xs, 0, net.frl_index), s_n, 0)
+    want = s_n
+    for layer in net.layers[net.frl_index : 0 : -1]:
+        if layer.kind != "Activation":
+            want = want @ oracles.bp_matrix_loop(layer)
+    np.testing.assert_allclose(ctx.r, want, rtol=1e-12, atol=0.0)
+
+
+def test_bound_context_on_a_wide_conv_tail_stays_small():
+    # As an explicit matrix, the 64->64 conv's propagation would take 34 GB.
+    rng = np.random.default_rng(89)
+    net = factories.wide_conv_net(rng)
+    trace = engine.batch_forward(net, rng.standard_normal((2, 1, 32, 32)), 0, net.frl_index)
+    s_n = np.abs(rng.standard_normal(3))
+    tracemalloc.start()
+    try:
+        ctx = BoundContext(net, trace, s_n, 0)
+        report = ctx.check(np.repeat((rng.random(64) < 0.5).astype(float), 32 * 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert report.holds and report.lhs > 0.0
 
 
 # --- operation and parameter counts ---------------------------------------------

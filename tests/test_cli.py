@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -315,6 +317,45 @@ def test_compare_rejects_a_non_finite_or_diverging_learning_rate(workspace, caps
     assert code == 2
     assert "learning" in capsys.readouterr().err
     assert not os.path.exists(workspace["out"])
+
+
+def _cli_process(argv):
+    """``nisprune.cli`` in its own interpreter: in process, pytest would
+    catch numpy's warnings before they reach stderr."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "nisprune.cli"] + argv, env=env, capture_output=True, text=True)
+
+
+def test_overflow_prints_only_the_error_line(workspace):
+    base = ["--data", workspace["csv"], "--out", workspace["out"]]
+    done = _cli_process(["compare", "--model", workspace["model"], "--strategy", "nisp",
+                         "--epochs", "1", "--lr", "1e308"] + base)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: training diverged to non-finite weights; lower the learning rate\n"
+
+    # Responses near 1e300 overflow the affinity graph's products.
+    huge = np.array([[1e300, 2e299, -3e299, 1e299], [3e299, -1e300, 2e299, 1e300], [1e299, 1e300, 1e300, -2e299]])
+    net = Network(layers=(Layer(kind="Dense", weights=huge, bias=np.zeros(3)),
+                          factories.dense_layer(np.random.default_rng(0), 2, 3)), frl_index=0)
+    model_path = str(workspace["tmp"] / "huge.json")
+    write_model(net, model_path)
+    done = _cli_process(["rank", "--model", model_path] + base)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: responses are too large to rank: their affinity graph overflows\n"
+    assert not os.path.exists(workspace["out"])
+
+
+def test_verify_on_a_wide_conv_tail(tmp_path):
+    # As an explicit matrix, the propagation of r through layer 1 would take 34 GB.
+    rng = np.random.default_rng(97)
+    model, data, out = str(tmp_path / "model.json"), str(tmp_path / "data.csv"), str(tmp_path / "out")
+    write_model(factories.wide_conv_net(rng), model)
+    save_dataset(Dataset(inputs=rng.standard_normal((2, 1, 32, 32)), labels=None), data)
+    assert run(["verify", "--model", model, "--data", data, "--out", out, "--layer", "0", "--trials", "2"]) == 0
+    with open(os.path.join(out, "bound_report.json")) as fh:
+        report = json.load(fh)
+    assert (report["trials"], report["violations"]) == (2, 0)
 
 
 # --- compare -----------------------------------------------------------------------

@@ -13,13 +13,8 @@ from nisprune.model import Geometry, Layer, Network
 from nisprune.propagation import (
     ImportancePlan,
     PruneConfig,
-    bp_conv_matrix,
-    bp_lrn_matrix,
-    bp_matrix,
-    bp_pool_matrix,
     channel_scores,
     check_ratios,
-    importance_closed_form,
     keep_count,
     nisp_backward,
     plan_from_json,
@@ -102,7 +97,7 @@ def test_spatial_rules_match_matrices_and_brute_force():
         kernel = rng.standard_normal((g.k, g.k, g.c_in, g.c_out))
         s_out = np.abs(rng.standard_normal((g.c_out, g.y, g.y)))
         got = propagate_conv(kernel, g, s_out)
-        via_matrix = (s_out.ravel() @ bp_conv_matrix(kernel, g)).reshape(g.c_in, g.x, g.x)
+        via_matrix = (s_out.ravel() @ oracles.bp_conv_matrix_loop(kernel, g)).reshape(g.c_in, g.x, g.x)
         brute = oracles.conv_importance_brute(kernel, g, s_out)
         assert np.max(np.abs(got - via_matrix)) <= 1e-12
         assert np.max(np.abs(got - brute)) <= 1e-12
@@ -110,7 +105,7 @@ def test_spatial_rules_match_matrices_and_brute_force():
         pg = factories.random_pool_geometry(rng, g.c_in)
         s_out = np.abs(rng.standard_normal((pg.c_out, pg.y, pg.y)))
         got = propagate_pool(pg, s_out)
-        via_matrix = (s_out.ravel() @ bp_pool_matrix(pg)).reshape(pg.c_in, pg.x, pg.x)
+        via_matrix = (s_out.ravel() @ oracles.bp_pool_matrix_loop(pg)).reshape(pg.c_in, pg.x, pg.x)
         assert np.max(np.abs(got - via_matrix)) <= 1e-12
         assert np.max(np.abs(got - oracles.pool_importance_brute(pg, s_out))) <= 1e-12
 
@@ -118,20 +113,10 @@ def test_spatial_rules_match_matrices_and_brute_force():
         lg = Geometry(x=2, y=2, k=1, s=1, p=0, c_in=channels, c_out=channels)
         s_out = np.abs(rng.standard_normal((channels, 2, 2)))
         got = propagate_lrn(local_size, s_out)
-        matrix = bp_lrn_matrix(local_size, lg)
-        assert matrix.tobytes() == oracles.bp_lrn_matrix_loop(local_size, lg).tobytes()
+        matrix = oracles.bp_lrn_matrix_loop(local_size, lg)
         via_matrix = (s_out.ravel() @ matrix).reshape(channels, 2, 2)
         assert np.max(np.abs(got - via_matrix)) <= 1e-12
         assert np.max(np.abs(got - oracles.lrn_importance_brute(local_size, s_out))) <= 1e-12
-
-
-def test_bp_matrices_are_nonnegative():
-    rng = np.random.default_rng(29)
-    g = factories.random_conv_geometry(rng)
-    kernel = rng.standard_normal((g.k, g.k, g.c_in, g.c_out))
-    assert np.all(bp_conv_matrix(kernel, g) >= 0)
-    pg = factories.random_pool_geometry(rng, 2)
-    assert np.all(bp_pool_matrix(pg) >= 0)
 
 
 def _wide_values(rng, shape):
@@ -160,8 +145,6 @@ def _check_window_kernels(k, s, p, x, c_in, c_out, seed, batch):
     s_pool[rng.random(s_pool.shape) < 0.1] = -0.0
     assert _same_bytes(propagate_conv(kernel, g, s_conv), oracles.propagate_conv_loop(kernel, g, s_conv))
     assert _same_bytes(propagate_pool(pg, s_pool), oracles.propagate_pool_loop(pg, s_pool))
-    assert _same_bytes(bp_conv_matrix(kernel, g), oracles.bp_conv_matrix_loop(kernel, g))
-    assert _same_bytes(bp_pool_matrix(pg), oracles.bp_pool_matrix_loop(pg))
 
     xs = _wide_values(rng, (batch, c_in, x, x))
     for mode in ("max", "avg"):
@@ -293,7 +276,7 @@ def test_backward_keep_all_matches_closed_form():
         s_n = np.abs(rng.standard_normal(net.layers[net.frl_index].weights.shape[0]))
         plan = nisp_backward(net, s_n, PruneConfig())
         for layer_id in range(net.frl_index + 1):
-            want = importance_closed_form(net, s_n, layer_id)
+            want = oracles.importance_closed_form(net, s_n, layer_id)
             got = plan.scores(layer_id)
             scale = max(np.max(np.abs(want)), 1.0)
             assert np.max(np.abs(got - want)) / scale <= 1e-9
@@ -456,17 +439,17 @@ def test_closed_form_validation():
     rng = np.random.default_rng(71)
     net = factories.skip_dense_net(rng)
     with pytest.raises(ConfigError):
-        importance_closed_form(net, np.ones(6), 0)
+        oracles.importance_closed_form(net, np.ones(6), 0)
     chain = factories.dense_chain(rng, [4, 6, 6, 3])
     with pytest.raises(ConfigError):
-        importance_closed_form(chain, np.ones(6), 2)
+        oracles.importance_closed_form(chain, np.ones(6), 2)
     with pytest.raises(ShapeError):
-        importance_closed_form(chain, np.ones(5), 0)
+        oracles.importance_closed_form(chain, np.ones(5), 0)
     with pytest.raises(ShapeError, match="finite and nonnegative"):
-        importance_closed_form(chain, np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]), 0)
+        oracles.importance_closed_form(chain, np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]), 0)
     with pytest.raises(ShapeError, match="finite and nonnegative"):
-        importance_closed_form(chain, np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0]), 0)
-    assert np.array_equal(importance_closed_form(chain, np.ones(6), 1), np.ones(6))
+        oracles.importance_closed_form(chain, np.array([1.0, -2.0, 1.0, 1.0, 1.0, 1.0]), 0)
+    assert np.array_equal(oracles.importance_closed_form(chain, np.ones(6), 1), np.ones(6))
 
 
 def test_closed_form_skips_batchnorm_and_activation():
@@ -484,7 +467,7 @@ def test_closed_form_skips_batchnorm_and_activation():
     )
     s_n = np.abs(rng.standard_normal(4))
     want = propagate_dense(dense.weights, s_n)
-    assert importance_closed_form(net, s_n, 0) == pytest.approx(want)
+    assert oracles.importance_closed_form(net, s_n, 0) == pytest.approx(want)
 
 
 def test_backward_through_mixed_net_matches_manual_chain():
@@ -500,7 +483,7 @@ def test_backward_through_mixed_net_matches_manual_chain():
             if layer.kind in ("BatchNorm", "Activation"):
                 continue
             if layer_id > 0:
-                s = s @ bp_matrix(layer)
+                s = s @ oracles.bp_matrix_loop(layer)
 
 
 def test_positive_scaling_leaves_masks_unchanged():
