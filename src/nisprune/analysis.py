@@ -8,6 +8,7 @@ counts, and the PCA energy of a response matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, DataError, ShapeError
 from .model import Network, layer_params, output_shapes, shape_size
-from .propagation import _propagate_through, final_importance
+from .propagation import PruneConfig, nisp_backward
 
 _EPS = 1e-12
 
@@ -85,12 +86,12 @@ class BoundContext:
 
     Writing G for the subnetwork from layer_id+1 to the final response layer,
     the accumulated weighted error sum_m <s_n, |G(x_m) - G(s* . x_m)|> is
-    bounded by C_sigma * C_x * sum_i r_i (1 - s*_i), where r is s_n pulled
-    back through the tail by nisp_backward's propagation rules (a batch-norm
-    layer scales it by |scale|), C_sigma multiplies the activation Lipschitz
+    bounded by C_sigma * C_x * sum_i r_i (1 - s*_i), where r is NISP's
+    importance of the layer with every unit kept (``nisp_backward`` under an
+    empty ``PruneConfig``), C_sigma multiplies the activation Lipschitz
     constants, and C_x = max_i sum_m |x_m[i]| over the layer's responses x_m.
-    No layer's propagation is built as a matrix, so r costs what one
-    backward pass costs.
+    Keeping the top entries of r therefore minimises the right side over keep
+    sets of one size, and r costs what one backward pass costs.
 
     ``trace`` is ``engine.batch_forward(net, inputs, 0, end)`` for some end
     at or above the final response layer. Building the context checks the
@@ -117,31 +118,18 @@ class BoundContext:
             if layer.kind == "Pool2D" and layer.pool_mode != "avg":
                 raise ConfigError("layer %d: max-pooling in the tail is not linear" % i)
 
-        shapes = output_shapes(net)
-        s_n = final_importance(net, shapes, s_n)
-
+        kept_all = nisp_backward(net, s_n, PruneConfig())
         if len(trace) < net.frl_index + 2:
             raise ConfigError("trace stops below the final response layer")
 
-        # r = |W_{l+1}|^T ... |W_n|^T s_n. Pool2D and BatchNorm layers load
-        # with the Identity activation, so C_sigma may take every layer's.
-        r = s_n
-        c_sigma = 1.0
-        for i in range(net.frl_index, layer_id, -1):
-            layer = net.layers[i]
-            c_sigma *= engine.activation_lipschitz(layer.activation)
-            if layer.kind == "BatchNorm":
-                # One scale entry per channel, repeated over its positions.
-                r = np.repeat(np.abs(layer.weights), shape_size(shapes[i]) // len(layer.weights)) * r
-            else:
-                r = _propagate_through(layer, r)
-
         self.net = net
         self.layer_id = layer_id
-        self.width = shape_size(shapes[layer_id])
-        self.s_n = s_n
-        self.r = r
-        self.c_sigma = c_sigma
+        self.s_n = kept_all.scores(net.frl_index)
+        self.r = kept_all.scores(layer_id)
+        self.width = len(self.r)
+        # Pool2D and BatchNorm layers load as Identity, so every tail layer counts.
+        self.c_sigma = math.prod(engine.activation_lipschitz(net.layers[i].activation)
+                                 for i in range(net.frl_index, layer_id, -1))
         self.responses = trace[layer_id + 1]
         self.frl = trace[net.frl_index + 1]
         self.c_x = float(np.abs(engine.flatten_responses(self.responses)).sum(axis=0).max())

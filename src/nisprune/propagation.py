@@ -10,7 +10,7 @@ absolute connection strengths:
                importance divided by k*k (max and average pool alike)
   LRN          each channel collects the importance of the channels whose
                normalization window covers it, divided by the local size
-  batch-norm   unchanged (no reweighting by scale)
+  batch-norm   each channel's importance times |scale| of that channel
   activation   unchanged
 
 Signs, biases, and activations never matter here; only how strongly a unit
@@ -21,11 +21,12 @@ propagating, so discarded units pass nothing further down. When several
 layers consume one response (a skip edge), their propagated contributions
 sum.
 
-With every neuron kept, layer k receives |w^(k+1)|^T ... |w^(n)|^T s_n.
-``analysis.BoundContext`` pulls its vector r back through the same rules
-(``_propagate_through``), scaling by |scale| at batch-norm layers. The conv
-and pool rules read ``model.window_index``; tests/oracles.py checks them by
-enumerating receptive fields and by explicit propagation matrices.
+With every neuron kept, layer k receives |w^(k+1)|^T ... |w^(n)|^T s_n,
+where a batch-norm layer, the map diag(scale) plus a shift, counts as
+|diag(scale)|. That is the vector r of ``analysis.BoundContext``'s bound,
+which takes it from this pass with every unit kept. The conv and pool rules
+read ``model.window_index``; tests/oracles.py checks them by enumerating
+receptive fields and by explicit propagation matrices.
 """
 
 from __future__ import annotations
@@ -197,7 +198,10 @@ def _propagate_through(layer: Layer, s_flat: np.ndarray) -> np.ndarray:
     if layer.kind == "LRN":
         g = layer.geometry
         return propagate_lrn(layer.lrn_local_size, s_flat.reshape(g.c_in, g.x, g.x)).ravel()
-    return np.array(s_flat, dtype=float, copy=True)  # BatchNorm or Activation; output_shapes rejects the rest
+    if layer.kind == "BatchNorm":
+        # One scale entry per channel, repeated over its positions.
+        return np.repeat(np.abs(layer.weights), len(s_flat) // len(layer.weights)) * s_flat
+    return np.array(s_flat, dtype=float, copy=True)  # Activation; output_shapes rejects the rest
 
 
 def channel_mask(flat_mask: np.ndarray, channels: int) -> np.ndarray:

@@ -24,6 +24,12 @@ from . import engine
 
 from dataclasses import dataclass
 
+MAX_GRAPH_FEATURES = 8192  # widest response ranked: each n x n float array is then 512 MiB
+
+
+def _graph_size(n: int) -> str:
+    return "%d features need a %d-byte affinity graph, over the cap of %d" % (n, 8 * n * n, MAX_GRAPH_FEATURES)
+
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
@@ -100,6 +106,8 @@ def build_affinity(responses: np.ndarray, alpha: float = 0.5) -> AffinityGraph:
         raise DataError("need at least 2 samples, got %d" % m)
     if n < 2:
         raise DataError("need at least 2 features, got %d" % n)
+    if n > MAX_GRAPH_FEATURES:
+        raise DataError("responses are too wide to rank: " + _graph_size(n))
     if not np.isfinite(resp).all():
         raise DataError("responses contain non-finite values")
 
@@ -140,7 +148,9 @@ def inffs_scores(graph: AffinityGraph) -> np.ndarray:
         walks = np.linalg.solve(system, np.ones(n)) - 1.0
     except np.linalg.LinAlgError as e:
         raise ConfigError("damping failed to make I - rA invertible: %s" % e) from e
-    # The series is nonnegative term by term; clamp the solver's rounding.
+    # The series is nonnegative term by term; clamp only the solver's rounding.
+    if walks.min() < -1e-9 * max(1.0, walks.max()):
+        raise DataError("Inf-FS solve returned a negative score %r" % float(walks.min()))
     return np.maximum(walks, 0.0)
 
 
@@ -175,6 +185,11 @@ def per_layer_scores(net: Network, trace, alpha: float = 0.5) -> dict:
 
     This deliberately ignores how a layer feeds later ones; it exists as the
     layer-by-layer baseline against backward propagation. ``trace`` must
-    reach the final response layer (see ``layer_scores``).
+    reach the final response layer (see ``layer_scores``). Every layer below
+    it is checked against ``MAX_GRAPH_FEATURES`` before any is ranked.
     """
+    for layer_id in prunable_layer_ids(net):
+        n = engine.flatten_responses(trace[layer_id + 1]).shape[1]
+        if layer_id < net.frl_index and n > MAX_GRAPH_FEATURES:
+            raise ConfigError("layer %d: %s; use --strategy nisp" % (layer_id, _graph_size(n)))
     return {layer_id: layer_scores(trace, layer_id, alpha) for layer_id in prunable_layer_ids(net)}

@@ -206,8 +206,9 @@ def importance_closed_form(net, s_n, layer_id):
     """Importance of layer_id's response as |w^(k+1)|^T ... |w^(n)|^T s_n.
 
     Chains the explicit matrix of every layer between the final response
-    layer and layer_id; batch-norm and activation layers pass importance
-    unchanged. Chain networks only, with nothing pruned along the way.
+    layer and layer_id; a batch-norm layer multiplies each channel by its
+    |scale| and an activation layer passes importance unchanged. Chain
+    networks only, with nothing pruned along the way.
     """
     if net.skip_edges:
         raise ConfigError("the closed form is defined for chain networks only")
@@ -215,7 +216,9 @@ def importance_closed_form(net, s_n, layer_id):
         raise ConfigError("layer id %d outside 0..%d" % (layer_id, net.frl_index))
     s = final_importance(net, output_shapes(net), s_n)
     for layer in net.layers[net.frl_index : layer_id : -1]:
-        if layer.kind not in ("BatchNorm", "Activation"):
+        if layer.kind == "BatchNorm":
+            s = s * np.repeat(np.abs(layer.weights), s.size // layer.weights.size)
+        elif layer.kind != "Activation":
             s = s @ bp_matrix_loop(layer)
     return s
 

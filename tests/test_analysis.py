@@ -10,7 +10,7 @@ from nisprune import engine
 from nisprune.analysis import BoundContext, count_cost, pca_energy, verify_bound, ware, ware_of_responses
 from nisprune.errors import ConfigError, DataError, ShapeError
 from nisprune.model import Geometry, Layer, Network, input_shape, output_shapes, shape_size, validate
-from nisprune.propagation import PruneConfig
+from nisprune.propagation import PruneConfig, nisp_backward
 from nisprune.surgery import apply_plan, random_plan
 from nisprune.trainer import make_mlp
 
@@ -322,6 +322,72 @@ def test_bound_r_matches_the_explicit_matrix_chain(seed, first_tail):
         if layer.kind != "Activation":
             want = want @ oracles.bp_matrix_loop(layer)
     np.testing.assert_allclose(ctx.r, want, rtol=1e-12, atol=0.0)
+
+
+def _prunable_chain(rng):
+    """A random chain of dense, conv, average-pool, batch-norm and activation
+    layers, then a dense FRL and a classifier."""
+
+    def act():
+        return str(rng.choice(factories.ACTS))
+
+    spatial = rng.random() < 0.7
+    if spatial:
+        g = factories.random_conv_geometry(rng)
+        layers = [factories.conv_layer(rng, g, act())]
+        c, x = g.c_out, g.y
+    else:
+        c, x = int(rng.integers(2, 9)), 1
+        layers = [factories.dense_layer(rng, c, int(rng.integers(2, 9)), act())]
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.choice(["Dense", "BatchNorm", "Activation"] + (["Conv2D", "Pool2D"] if spatial else []))
+        if kind == "Dense":
+            layers.append(factories.dense_layer(rng, int(rng.integers(2, 9)), c * x * x, act()))
+            c, x, spatial = layers[-1].weights.shape[0], 1, False
+        elif kind in ("Conv2D", "Pool2D"):
+            g = _geometry_on(rng, c, x, int(rng.integers(1, 5)) if kind == "Conv2D" else c)
+            if kind == "Conv2D":
+                layers.append(factories.conv_layer(rng, g, act()))
+            else:
+                layers.append(Layer(kind="Pool2D", geometry=g, pool_mode="avg"))
+            c, x = g.c_out, g.y
+        elif kind == "BatchNorm":
+            layers.append(factories.batchnorm_layer(rng, c))
+        else:
+            layers.append(factories.activation_layer(rng))
+    hidden = int(rng.integers(2, 7))
+    layers += [factories.dense_layer(rng, hidden, c * x * x, act()), factories.dense_layer(rng, 2, hidden)]
+    net = Network(layers=tuple(layers), frl_index=len(layers) - 2)
+    assert validate(net).ok
+    return net
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_nisp_mask_minimises_the_bound_it_verifies(seed):
+    # The bound's right side sums r over the dropped units, and r is NISP's
+    # importance with every unit kept, so NISP's keep set has the least right
+    # side of all keep sets of its size: the top of r, or for a conv layer
+    # the channels with the largest sums of r.
+    rng = np.random.default_rng(seed)
+    net = _prunable_chain(rng)
+    layer_id = int(rng.choice([i for i in range(net.frl_index) if net.layers[i].kind in ("Dense", "Conv2D")]))
+    xs = rng.standard_normal((3,) + input_shape(net))
+    s_n = np.abs(rng.standard_normal(shape_size(output_shapes(net)[net.frl_index])))
+    plan = nisp_backward(net, s_n, PruneConfig(ratios={layer_id: float(rng.uniform(0.1, 0.9))}))
+    ctx = BoundContext(net, engine.batch_forward(net, xs, 0, net.frl_index), s_n, layer_id)
+    nisp = plan.mask(layer_id).astype(float)
+    layer = net.layers[layer_id]
+    if layer.kind == "Conv2D":
+        g = layer.geometry
+        per_channel = ctx.r.reshape(g.c_out, -1).sum(axis=1)
+        best = np.zeros(g.c_out)
+        best[np.argsort(-per_channel, kind="stable")[: int(nisp.sum()) // (g.y * g.y)]] = 1.0
+        best = np.repeat(best, g.y * g.y)
+    else:
+        best = np.zeros(ctx.width)
+        best[np.argsort(-ctx.r, kind="stable")[: int(nisp.sum())]] = 1.0
+    assert ctx.check(nisp).rhs <= ctx.check(best).rhs * (1.0 + 1e-12)
 
 
 def test_bound_context_on_a_wide_conv_tail_stays_small():

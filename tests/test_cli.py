@@ -358,6 +358,33 @@ def test_verify_on_a_wide_conv_tail(tmp_path):
     assert (report["trials"], report["violations"]) == (2, 0)
 
 
+def test_lbl_on_a_layer_over_the_graph_cap_exits_2(tmp_path, capsys):
+    # lbl would rank layer 0's 64 x 32 x 32 features in a 32 GiB graph.
+    rng = np.random.default_rng(97)
+    model, data, out = str(tmp_path / "model.json"), str(tmp_path / "data.csv"), str(tmp_path / "out")
+    write_model(factories.wide_conv_net(rng), model)
+    save_dataset(Dataset(inputs=rng.standard_normal((2, 1, 32, 32)), labels=None), data)
+    capsys.readouterr()
+    argv = ["prune", "--model", model, "--data", data, "--out", out, "--ratio-all", "0.5"]
+    assert run(argv + ["--strategy", "lbl"]) == 2
+    assert capsys.readouterr().err == (
+        "error: layer 0: 65536 features need a 34359738368-byte affinity graph, over the cap of %d; "
+        "use --strategy nisp\n" % ranking.MAX_GRAPH_FEATURES)
+    assert not os.path.exists(out)
+    assert run(argv + ["--strategy", "nisp"]) == 0
+
+
+def test_rank_of_a_final_response_layer_over_the_graph_cap_exits_3(workspace, capsys):
+    rng = np.random.default_rng(5)
+    width = ranking.MAX_GRAPH_FEATURES + 1
+    net = Network(layers=(factories.dense_layer(rng, width, 4), factories.dense_layer(rng, 2, width)), frl_index=0)
+    model_path = str(workspace["tmp"] / "wide.json")
+    write_model(net, model_path)
+    assert run(["rank", "--model", model_path, "--data", workspace["csv"], "--out", workspace["out"]]) == 3
+    assert "error: responses are too wide to rank: %d features" % width in capsys.readouterr().err
+    assert not os.path.exists(workspace["out"])
+
+
 # --- compare -----------------------------------------------------------------------
 
 def test_compare_single_strategy_single_seed(workspace):

@@ -452,13 +452,16 @@ def test_closed_form_validation():
     assert np.array_equal(oracles.importance_closed_form(chain, np.ones(6), 1), np.ones(6))
 
 
-def test_closed_form_skips_batchnorm_and_activation():
+def test_closed_form_scales_by_batchnorm_and_skips_activation():
+    # Batch-norm is diag(scale) plus a shift, so its |W|^T is |diag(scale)|:
+    # importance reaching it is multiplied by |scale| per channel.
     rng = np.random.default_rng(73)
     dense = factories.dense_layer(rng, 4, 4)
+    norm = factories.batchnorm_layer(rng, 4)
     net = Network(
         layers=(
             identity_dense(4),
-            factories.batchnorm_layer(rng, 4),
+            norm,
             Layer(kind="Activation", activation="Tanh"),
             dense,
             factories.dense_layer(rng, 2, 4),
@@ -466,8 +469,26 @@ def test_closed_form_skips_batchnorm_and_activation():
         frl_index=3,
     )
     s_n = np.abs(rng.standard_normal(4))
-    want = propagate_dense(dense.weights, s_n)
+    above = propagate_dense(dense.weights, s_n)
+    assert oracles.importance_closed_form(net, s_n, 1) == pytest.approx(above)
+    want = np.abs(norm.weights) * above
+    assert not np.allclose(want, above)
     assert oracles.importance_closed_form(net, s_n, 0) == pytest.approx(want)
+    assert nisp_backward(net, s_n, PruneConfig()).scores(0) == pytest.approx(want)
+
+    # A conv response: one scale per channel, over all its positions.
+    g = Geometry(x=3, y=3, k=1, s=1, p=0, c_in=2, c_out=2)
+    norm = factories.batchnorm_layer(rng, 2)
+    net = Network(
+        layers=(factories.conv_layer(rng, g), norm, factories.dense_layer(rng, 3, 18),
+                factories.dense_layer(rng, 2, 3)),
+        frl_index=2,
+    )
+    s_n = np.abs(rng.standard_normal(3))
+    above = propagate_dense(net.layers[2].weights, s_n)
+    want = np.repeat(np.abs(norm.weights), 9) * above
+    assert oracles.importance_closed_form(net, s_n, 0) == pytest.approx(want)
+    assert nisp_backward(net, s_n, PruneConfig()).scores(0) == pytest.approx(want)
 
 
 def test_backward_through_mixed_net_matches_manual_chain():
@@ -480,9 +501,11 @@ def test_backward_through_mixed_net_matches_manual_chain():
         for layer_id in range(net.frl_index, -1, -1):
             assert plan.scores(layer_id) == pytest.approx(s, abs=1e-12)
             layer = net.layers[layer_id]
-            if layer.kind in ("BatchNorm", "Activation"):
+            if layer.kind == "Activation" or layer_id == 0:
                 continue
-            if layer_id > 0:
+            if layer.kind == "BatchNorm":
+                s = s * np.repeat(np.abs(layer.weights), s.size // layer.weights.size)
+            else:
                 s = s @ oracles.bp_matrix_loop(layer)
 
 

@@ -11,6 +11,7 @@ from nisprune import engine
 from nisprune.errors import ConfigError, DataError
 from nisprune.model import Geometry, Layer, Network
 from nisprune.ranking import (
+    MAX_GRAPH_FEATURES,
     AffinityGraph,
     build_affinity,
     inffs_scores,
@@ -123,6 +124,28 @@ def test_inffs_singular_graph_rejected():
     graph = AffinityGraph(a=np.array([[0.0, 1.0], [1.0, 0.0]]), r=1.0, alpha=0.5)
     with pytest.raises(ConfigError):
         inffs_scores(graph)
+
+
+def test_inffs_rejects_a_negative_score_beyond_rounding(monkeypatch):
+    graph = AffinityGraph(a=np.array([[0.0, 1.0], [1.0, 0.0]]), r=0.5, alpha=0.5)
+    # The solve returns 1 + walks; the first feature's walks read 1.0.
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b + np.array([1.0, -0.5]))
+    with pytest.raises(DataError, match="negative score -0.5"):
+        inffs_scores(graph)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b + np.array([1.0, -1e-14]))
+    assert inffs_scores(graph).tolist() == [1.0, 0.0]
+
+
+def test_affinity_checks_the_width_before_allocating():
+    resp = np.zeros((2, MAX_GRAPH_FEATURES + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="%d features need a %d-byte" % (resp.shape[1], 8 * resp.shape[1] ** 2)):
+            build_affinity(resp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_scores_nonnegative_property():
@@ -251,9 +274,12 @@ def test_radius_and_scores_match_plain_expressions_on_any_symmetric_matrix(n):
     a[every_other, every_other] = -0.0
     radius = spectral_radius(a)
     assert np.float64(radius).tobytes() == np.float64(oracles.spectral_radius_expr(a)).tobytes()
-    for r in (0.9 / radius, -0.5 / radius):
-        got = inffs_scores(AffinityGraph(a=a, r=r, alpha=0.5))
-        assert got.tobytes() == oracles.inffs_expr(a, r).tobytes()
+    got = inffs_scores(AffinityGraph(a=a, r=0.9 / radius, alpha=0.5))
+    assert got.tobytes() == oracles.inffs_expr(a, 0.9 / radius).tobytes()
+    # A negative damping makes the walks of length one negative, far beyond
+    # rounding, so the scores are refused instead of clamped to zero.
+    with pytest.raises(DataError, match="negative score"):
+        inffs_scores(AffinityGraph(a=a, r=-0.5 / radius, alpha=0.5))
 
 
 def test_wide_graph_holds_few_feature_by_feature_arrays():

@@ -39,6 +39,19 @@ def test_script_writes_rows(tmp_path, capsys, name, args):
     assert "wrote %d rows" % len(rows) in capsys.readouterr().out
 
 
+def test_output_digests_prints_one_line_per_command(capsys):
+    script = load_script("output_digests")
+    assert script.main(["--workload", "blobs", "--seed", "401"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = [label for label, _ in script.commands(load_script("workloads", BENCH), "blobs", 1)]
+    assert [line.split()[0] for line in lines] == labels
+    for line in lines:
+        fields = line.split()
+        assert fields[1] in ("exit=0", "exit=2")
+        assert all(len(field.split("=")[1]) == 64 for field in fields[2:])
+        assert len(fields) > 4 if fields[1] == "exit=0" else len(fields) == 4
+
+
 @pytest.mark.parametrize("workload", ["conv16", "blobs"])
 def test_bench_checks_pass_on_cli_outputs(tmp_path, workload):
     # Every command of the workload's sequence, compare at 2 epochs instead
