@@ -8,7 +8,9 @@ ratios, PCA guidance, and commands that must exit 2) through
 code, the sha256 of stdout and of stderr, and the sha256 of each file it
 wrote. The package is imported from this checkout's src/, so running the
 script from two checkouts on the same workload and seed, then diffing the
-output, shows which command's bytes a change moved.
+output, shows which command's bytes a change moved. Run as a script, it pins
+BLAS to one thread; tests/golden_digests.txt holds its lines for blobs and
+conv16 at seed 401.
 
     python3 scripts/output_digests.py --workload conv16 --seed 401
 """
@@ -22,6 +24,12 @@ import json
 import os
 import sys
 import tempfile
+
+if __name__ == "__main__":
+    # Pin BLAS before numpy is imported: the Inf-FS products and solve and
+    # verify's dot products give other bytes on other thread counts.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))

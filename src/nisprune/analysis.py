@@ -16,7 +16,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, DataError, ShapeError
 from .model import Network, layer_params, output_shapes, shape_size
-from .propagation import PruneConfig, nisp_backward
+from .propagation import masked_importance
 
 _EPS = 1e-12
 
@@ -87,11 +87,11 @@ class BoundContext:
     Writing G for the subnetwork from layer_id+1 to the final response layer,
     the accumulated weighted error sum_m <s_n, |G(x_m) - G(s* . x_m)|> is
     bounded by C_sigma * C_x * sum_i r_i (1 - s*_i), where r is NISP's
-    importance of the layer with every unit kept (``nisp_backward`` under an
-    empty ``PruneConfig``), C_sigma multiplies the activation Lipschitz
+    importance of the layer with every unit kept (``masked_importance``
+    stopped at the layer), C_sigma multiplies the activation Lipschitz
     constants, and C_x = max_i sum_m |x_m[i]| over the layer's responses x_m.
     Keeping the top entries of r therefore minimises the right side over keep
-    sets of one size, and r costs what one backward pass costs.
+    sets of one size.
 
     ``trace`` is ``engine.batch_forward(net, inputs, 0, end)`` for some end
     at or above the final response layer. Building the context checks the
@@ -118,14 +118,14 @@ class BoundContext:
             if layer.kind == "Pool2D" and layer.pool_mode != "avg":
                 raise ConfigError("layer %d: max-pooling in the tail is not linear" % i)
 
-        kept_all = nisp_backward(net, s_n, PruneConfig())
+        importance = masked_importance(net, s_n, layer_id)
         if len(trace) < net.frl_index + 2:
             raise ConfigError("trace stops below the final response layer")
 
         self.net = net
         self.layer_id = layer_id
-        self.s_n = kept_all.scores(net.frl_index)
-        self.r = kept_all.scores(layer_id)
+        self.s_n = importance[net.frl_index]
+        self.r = importance[layer_id]
         self.width = len(self.r)
         # Pool2D and BatchNorm layers load as Identity, so every tail layer counts.
         self.c_sigma = math.prod(engine.activation_lipschitz(net.layers[i].activation)

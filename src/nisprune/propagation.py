@@ -14,17 +14,17 @@ absolute connection strengths:
   activation   unchanged
 
 Signs, biases, and activations never matter here; only how strongly a unit
-feeds the units above it. A single backward pass walks from the final
-response layer down to layer 0; at each prunable layer it selects the keep
-mask, zeroes the importance of dropped neurons, and only then keeps
-propagating, so discarded units pass nothing further down. When several
-layers consume one response (a skip edge), their propagated contributions
-sum.
+feeds the units above it. ``masked_importance`` is the one backward pass:
+it walks from the final response layer down to a stop layer, and a mask
+policy may zero the importance of dropped neurons at each layer before it
+propagates, so discarded units pass nothing further down. When several
+layers consume one response (a skip edge), their contributions sum.
+``nisp_backward`` walks to layer 0 with NISP's keep masks.
 
 With every neuron kept, layer k receives |w^(k+1)|^T ... |w^(n)|^T s_n,
 where a batch-norm layer, the map diag(scale) plus a shift, counts as
-|diag(scale)|. That is the vector r of ``analysis.BoundContext``'s bound,
-which takes it from this pass with every unit kept. The conv and pool rules
+|diag(scale)|. That is the vector r of ``analysis.BoundContext``'s bound at
+layer k, which walks with no masks and stops at k. The conv and pool rules
 read ``model.window_index``; tests/oracles.py checks them by enumerating
 receptive fields and by explicit propagation matrices.
 """
@@ -300,10 +300,6 @@ class _MaskPicker:
         check_ratios(net, cfg)
         self.net = net
         self.cfg = cfg
-        self.sources = {}  # merge layer id -> its skip source ids
-        for src, dst in net.skip_edges:
-            if dst <= net.frl_index:
-                self.sources.setdefault(dst, []).append(src)
         self.forced = {}
         self.entries = {}
 
@@ -330,8 +326,8 @@ class _MaskPicker:
             mask = prune_indicator(s, keep_count(s.shape[0], fraction))
 
         # Any other merge keeps all here but inherits the mask below in surgery.
-        forced_sources = self.sources.get(layer_id, ()) if layer.kind in PRUNABLE_KINDS else ()
-        for src in forced_sources:
+        forces = layer.kind in PRUNABLE_KINDS
+        for src in [src for src, dst in self.net.skip_edges if forces and dst == layer_id]:
             if self.net.layers[src].kind not in PRUNABLE_KINDS:
                 if not mask.all():
                     raise ConfigError(
@@ -368,32 +364,36 @@ def final_importance(net: Network, shapes: list, s_n) -> np.ndarray:
     return s_n
 
 
-def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> ImportancePlan:
-    """One backward pass from the final response layer down to layer 0.
+def masked_importance(net: Network, s_n, stop: int = 0, pick=None) -> dict:
+    """{layer id: importance of its response, before its own mask} from the
+    final response layer down to ``stop``: the one backward pass.
 
-    At each layer: collect the importance of its response (summing over all
-    consumers), pick the keep mask, zero the importance of dropped neurons,
-    and propagate what remains one layer down. All neurons of a conv channel
-    share the channel's decision, scored by the channel's summed importance.
-
-    A skip edge makes the merge layer's response feed the source layer
-    directly, so the source receives the merge's masked importance on top of
-    the usual chain contribution, and takes the merge's mask.
+    ``pick(layer_id, s)``, when given, returns the layer's keep mask, and only
+    kept importance passes on: to skip sources in ``net.skip_edges`` order,
+    then through the layer to the one below. Raises ShapeError for an invalid
+    net or ``s_n``.
     """
-    picker = _MaskPicker(net, cfg)
     shapes = output_shapes(net)
-    frl = net.frl_index
-    incoming = {frl: final_importance(net, shapes, s_n).copy()}
-    for layer_id in range(frl, -1, -1):
-        s = incoming.pop(layer_id, None)
-        if s is None:
-            s = np.zeros(shape_size(shapes[layer_id]))
-        s_kept = s * picker.pick(layer_id, s).mask
-        receivers = [(src, s_kept) for src in picker.sources.get(layer_id, ())]
-        if layer_id > 0:
-            receivers.append((layer_id - 1, _propagate_through(net.layers[layer_id], s_kept)))
+    incoming = {net.frl_index: final_importance(net, shapes, s_n).copy()}
+    importance = {}
+    for layer_id in range(net.frl_index, stop - 1, -1):
+        s = importance[layer_id] = incoming.pop(layer_id)
+        if pick is not None:
+            s = s * pick(layer_id, s)
+        if layer_id == stop:
+            break
+        receivers = [(src, s) for src, dst in net.skip_edges if dst == layer_id]
+        receivers.append((layer_id - 1, _propagate_through(net.layers[layer_id], s)))
         for below, contribution in receivers:
             incoming[below] = incoming[below] + contribution if below in incoming else contribution
+    return importance
+
+
+def nisp_backward(net: Network, s_n: np.ndarray, cfg: PruneConfig) -> ImportancePlan:
+    """NISP's plan: ``masked_importance`` down to layer 0, each layer's keep
+    mask picked by ``_MaskPicker`` from the importance that reaches it."""
+    picker = _MaskPicker(net, cfg)
+    masked_importance(net, s_n, 0, lambda layer_id, s: picker.pick(layer_id, s).mask)
     return picker.plan()
 
 

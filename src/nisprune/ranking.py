@@ -45,7 +45,7 @@ def spectral_radius(a: np.ndarray) -> float:
     pairs, so iterate on a + shift*I with shift = max absolute row sum. That
     keeps the spectrum nonnegative, making the largest eigenvalue dominant,
     and the shift subtracts back out at the end. Iteration stops once two
-    estimates agree to 1e-13 relative, or after 10000 steps.
+    estimates agree to 1e-13 relative; DataError if they do not in 10000 steps.
     """
     # b takes a's layout, and b @ v must see a C-ordered matrix.
     a = np.ascontiguousarray(a, dtype=float)
@@ -71,6 +71,8 @@ def spectral_radius(a: np.ndarray) -> float:
         if abs(lam - prev) <= 1e-13 * max(1.0, abs(lam)):
             break
         prev = lam
+    else:
+        raise DataError("spectral radius did not converge in 10000 steps (estimate %r)" % (lam - shift))
     return max(lam - shift, 0.0)
 
 

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factories
-from nisprune import engine
+from nisprune import datasets, engine, model, propagation
 from nisprune.analysis import BoundContext, count_cost, pca_energy, verify_bound, ware, ware_of_responses
 from nisprune.errors import ConfigError, DataError, ShapeError
 from nisprune.model import Geometry, Layer, Network, input_shape, output_shapes, shape_size, validate
@@ -405,6 +407,49 @@ def test_bound_context_on_a_wide_conv_tail_stays_small():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert report.holds and report.lhs > 0.0
+
+
+def _conv16(tmp_path):
+    """The conv16 benchmark net at seed 401 and four of its inputs."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    model_path, data_path = workloads.generate("conv16", 401, str(tmp_path))
+    return model.read_model(model_path), datasets.load_dataset(data_path).inputs[:4]
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+    return calls
+
+
+def test_bound_context_walks_only_its_tail(monkeypatch, tmp_path):
+    # r at layer l is the pull-back through layers frl..l+1, so a context
+    # propagates once per tail layer and validates the net once.
+    net, xs = _conv16(tmp_path)
+    cases = [(net, xs, 2), (net, xs, 3)]
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        net = factories.random_mixed_net(rng, with_lrn=False)
+        xs = rng.standard_normal((3,) + input_shape(net))
+        for layer_id in range(net.frl_index):
+            tail = net.layers[layer_id + 1 : net.frl_index + 1]
+            if all(layer.kind != "Pool2D" or layer.pool_mode == "avg" for layer in tail):
+                cases.append((net, xs, layer_id))
+    assert len(cases) > 40
+    propagated = _counting(monkeypatch, propagation, "_propagate_through")
+    validated = _counting(monkeypatch, model, "validate")
+    for net, xs, layer_id in cases:
+        trace = engine.batch_forward(net, xs, 0, net.frl_index)
+        s_n = np.abs(rng.standard_normal(shape_size(output_shapes(net)[net.frl_index])))
+        propagated.clear()
+        validated.clear()
+        BoundContext(net, trace, s_n, layer_id)
+        assert len(propagated) == net.frl_index - layer_id
+        assert len(validated) == 1
 
 
 # --- operation and parameter counts ---------------------------------------------

@@ -9,13 +9,14 @@ import factories
 import oracles
 from nisprune import engine
 from nisprune.errors import ConfigError, ModelFormatError, ShapeError
-from nisprune.model import Geometry, Layer, Network
+from nisprune.model import Geometry, Layer, Network, output_shapes, shape_size
 from nisprune.propagation import (
     ImportancePlan,
     PruneConfig,
     channel_scores,
     check_ratios,
     keep_count,
+    masked_importance,
     nisp_backward,
     plan_from_json,
     plan_to_json,
@@ -281,6 +282,25 @@ def test_backward_keep_all_matches_closed_form():
             scale = max(np.max(np.abs(want)), 1.0)
             assert np.max(np.abs(got - want)) / scale <= 1e-9
             assert plan.mask(layer_id).all()
+
+
+def test_walk_without_masks_is_the_keep_all_plan_on_skip_nets():
+    # A skip source sums the merge's importance and the chain's in the same
+    # order with or without a picker, and stopping early changes no entry.
+    rng = np.random.default_rng(43)
+    nets = [factories.random_mixed_net(rng, with_skip=True) for _ in range(20)]
+    nets += [factories.skip_dense_net(rng, width=int(rng.integers(2, 9))) for _ in range(5)]
+    for net in nets:
+        s_n = np.abs(rng.standard_normal(shape_size(output_shapes(net)[net.frl_index])))
+        plan = nisp_backward(net, s_n, PruneConfig())
+        walk = masked_importance(net, s_n)
+        assert list(walk) == list(range(net.frl_index, -1, -1))
+        for layer_id, s in walk.items():
+            assert s.tobytes() == plan.scores(layer_id).tobytes()
+        for stop in range(net.frl_index + 1):
+            tail = masked_importance(net, s_n, stop)
+            assert list(tail) == list(range(net.frl_index, stop - 1, -1))
+            assert all(s.tobytes() == walk[layer_id].tobytes() for layer_id, s in tail.items())
 
 
 def test_backward_identity_chain_passes_scores_through():

@@ -37,6 +37,14 @@ def test_spectral_radius_zero_matrix():
     assert spectral_radius(np.zeros((3, 3))) == 0.0
 
 
+def test_spectral_radius_raises_at_its_iteration_cap():
+    # A NaN entry keeps every estimate NaN, so no two estimates ever agree.
+    a = np.ones((3, 3))
+    a[0, 1] = a[1, 0] = np.nan
+    with pytest.raises(DataError, match="did not converge in 10000"):
+        spectral_radius(a)
+
+
 def test_perfectly_correlated_features_alpha_zero():
     # identical columns: |rho| = 1, so the correlation term vanishes
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
